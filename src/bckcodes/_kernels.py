@@ -13,7 +13,9 @@ can share one calling convention:
 
   * axiom scans return shape (k, 4) rows [found, w0, w1, w2], padded with -1
   * canonical_table returns the lexicographically minimal row-major
-    serialization of the table over the supplied permutations
+    serialization of the table over the supplied permutations.  The census
+    groups its classes by a cheaper refinement canonical form (codegen) and
+    calls this brute force once per class, as the key that orders them.
 """
 from __future__ import annotations
 
@@ -405,16 +407,3 @@ def theta_fixing_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     invs = np.argsort(perms, axis=1).astype(np.int64)
     return perms, invs
 
-
-def warmup() -> None:
-    """Force JIT compilation of the active backend on tiny inputs.
-
-    Called before forking census workers so children inherit compiled code.
-    """
-    t = np.zeros((2, 2), dtype=np.int64)
-    t[1, 0] = 1
-    bck_axiom_scan(t, 0)
-    hilbert_axiom_scan(t.T.copy(), 0)
-    bck_property_scan(t, 0)
-    perms, invs = theta_fixing_perms(2)
-    canonical_table(t, perms, invs)

@@ -1,13 +1,15 @@
 """Command-line surface tying the library together.
 
 Exit codes: 0 success / property true, 1 verification or property false,
-2 usage or format errors.  All reports are deterministic: elements appear in
+2 usage or format errors, 141 (128 + SIGPIPE) when stdout is closed before
+the report is written.  All reports are deterministic: elements appear in
 canonical index order and filters are sorted by cardinality then bitmask.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from .fileio import parse_algebra_file, parse_code_file, serialize_algebra, seri
 from .filters import all_filters, classify, maximal_filters
 from .model import DOT, STAR, CutSpec, OpTable
 from .posets import code_poset, hasse_covers, lex_sort_desc
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_text(path: str) -> str:
@@ -546,7 +550,15 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: end quietly, and point stdout at devnull so
+        # the flush at interpreter shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

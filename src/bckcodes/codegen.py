@@ -2,12 +2,14 @@
 families, and the exhaustive isomorphism census with its matrix-count bound."""
 from __future__ import annotations
 
+import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import _kernels
-from .algebra import verify_axioms
+from .algebra import refine_colors, verify_axioms
 from .embedding import embed_code
 from .errors import UsageError
 from .model import (
@@ -143,27 +145,58 @@ def _matrices_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _census_batch(n: int, bits: np.ndarray, offset: int) -> dict[bytes, list[int]]:
-    """Map canonical table key -> [matrix count, minimal global position]."""
+def _census_form(table: np.ndarray) -> bytes:
+    """Canonical form of a census table with theta at 0.
+
+    Individualization-refinement (McKay & Piperno, Practical graph
+    isomorphism II, 2014): the relabelings tried keep theta at 0 and list
+    the other elements by ascending refined colour, so permutations run
+    only within a colour class.  Colours are isomorphism-invariant, so the
+    lexicographically minimal row-major table over those relabelings is
+    equal for two tables exactly when they are isomorphic.
+    """
+    n = len(table)
+    colors = refine_colors(table, 0)
+    cells = [[x for x in range(1, n) if colors[x] == c] for c in sorted(set(colors[1:]))]
+    orders = np.array(
+        [
+            (0, *itertools.chain.from_iterable(choice))
+            for choice in itertools.product(*map(itertools.permutations, cells))
+        ],
+        dtype=np.int64,
+    ).reshape(-1, n)
+    relabel = np.argsort(orders, axis=1)  # old label -> new label
+    k = len(orders)
+    flat = relabel[np.arange(k)[:, None, None], table[orders[:, :, None], orders[:, None, :]]]
+    flat = flat.reshape(k, n * n)
+    return flat[np.lexsort(flat.T[::-1])[0]].astype(np.uint8).tobytes()
+
+
+def _census_batch(
+    n: int, bits: np.ndarray, offset: int, forms: dict[bytes, bytes]
+) -> dict[bytes, list[int]]:
+    """Map canonical form -> [matrix count, minimal global position].
+
+    `forms` caches bit-packed domination order -> canonical form across
+    batches.
+    """
     mats = _matrices_from_bits(n, bits)
     leq = (mats[:, None, :, :] <= mats[:, :, None, :]).all(axis=3)
     idx = np.arange(n, dtype=np.int64)
-    uniq, inverse = np.unique(leq.reshape(len(mats), n * n), axis=0, return_inverse=True)
+    packed = np.packbits(leq.reshape(len(mats), n * n), axis=1)
+    uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     counts = np.bincount(inverse, minlength=len(uniq))
     first_pos = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(first_pos, inverse, np.arange(offset, offset + len(mats), dtype=np.int64))
-    perms, invs = _kernels.theta_fixing_perms(n)
     classes: dict[bytes, list[int]] = {}
     for u in range(len(uniq)):
-        table = np.where(uniq[u].reshape(n, n), np.int64(0), idx[:, None])
-        key = _kernels.canonical_table(table, perms, invs).tobytes()
-        entry = classes.get(key)
-        if entry is None:
-            classes[key] = [int(counts[u]), int(first_pos[u])]
-        else:
-            entry[0] += int(counts[u])
-            entry[1] = min(entry[1], int(first_pos[u]))
+        order = uniq[u].tobytes()
+        form = forms.get(order)
+        if form is None:
+            leq_u = np.unpackbits(uniq[u], count=n * n).reshape(n, n).astype(bool)
+            form = forms[order] = _census_form(np.where(leq_u, np.int64(0), idx[:, None]))
+        _merge(classes, {form: [int(counts[u]), int(first_pos[u])]})
     return classes
 
 
@@ -180,6 +213,7 @@ def _merge(into: dict[bytes, list[int]], other: dict[bytes, list[int]]) -> None:
 def _census_worker(payload) -> dict[bytes, list[int]]:
     n, start, stop, width, sample_bits = payload
     classes: dict[bytes, list[int]] = {}
+    forms: dict[bytes, bytes] = {}
     pos = start
     while pos < stop:
         hi = min(pos + _BATCH, stop)
@@ -187,9 +221,16 @@ def _census_worker(payload) -> dict[bytes, list[int]]:
             bits = _bits_from_indices(np.arange(pos, hi, dtype=np.uint64), width)
         else:
             bits = sample_bits[pos - start : hi - start]
-        _merge(classes, _census_batch(n, bits, pos))
+        _merge(classes, _census_batch(n, bits, pos, forms))
         pos = hi
     return classes
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
 def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1) -> CensusReport:
@@ -197,9 +238,11 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     elements into isomorphism classes of the induced algebras.
 
     Exhaustive when `sample_count` is None (n <= 7), otherwise a seeded
-    uniform sample of free-bit assignments.  Classes are keyed by the
-    lexicographically minimal theta-fixing relabeling of the table, so the
-    report is identical for any worker count.
+    uniform sample of free-bit assignments.  Classes are grouped by the
+    refinement canonical form of their tables and ordered by the
+    lexicographically minimal theta-fixing relabeling (one brute-force
+    key per class), so the report is identical for any worker count.
+    Workers are capped by the usable CPUs and the matrix count.
     """
     if n < 2:
         raise UsageError("census needs n >= 2")
@@ -226,26 +269,31 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     if jobs < 1:
         raise UsageError("jobs must be positive")
 
+    workers = min(jobs, _usable_cpus(), evaluated)
     classes: dict[bytes, list[int]] = {}
-    if jobs == 1:
+    if workers == 1:
         _merge(classes, _census_worker((n, 0, evaluated, free, sample_bits)))
     else:
-        _kernels.warmup()  # compile before forking so children inherit the JIT state
-        bounds = np.linspace(0, evaluated, jobs + 1, dtype=np.int64)
+        bounds = np.linspace(0, evaluated, workers + 1, dtype=np.int64)
         payloads = []
-        for k in range(jobs):
+        for k in range(workers):
             start, stop = int(bounds[k]), int(bounds[k + 1])
             chunk = None if sample_bits is None else sample_bits[start:stop]
             payloads.append((n, start, stop, free, chunk))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_census_worker, payloads):
                 _merge(classes, result)
 
-    keys = sorted(classes)
-    sizes = tuple(classes[key][0] for key in keys)
+    perms, invs = _kernels.theta_fixing_perms(n)
+
+    def lexmin_key(form: bytes) -> bytes:
+        table = np.frombuffer(form, np.uint8).reshape(n, n)
+        return _kernels.canonical_table(table, perms, invs).tobytes()
+
+    ordered = sorted((lexmin_key(form), entry) for form, entry in classes.items())
+    sizes = tuple(count for _, (count, _) in ordered)
     reps = []
-    for key in keys:
-        pos = classes[key][1]
+    for _, (_, pos) in ordered:
         if sample_bits is None:
             bits = _bits_from_indices(np.array([pos], dtype=np.uint64), free)
         else:
@@ -258,9 +306,9 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
         total_matrices=total,
         evaluated=evaluated,
         mode=mode,
-        class_count=len(keys),
+        class_count=len(ordered),
         class_sizes=sizes,
         class_representatives=tuple(reps),
         bound=total,
-        bound_met=len(keys) >= total,
+        bound_met=len(ordered) >= total,
     )

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from bckcodes import _kernels
 from bckcodes.cli import run_command
@@ -226,6 +229,34 @@ class TestCensusCli:
         assert "sampling" in err
 
 
+CENSUS_ANCHORS = {
+    ("--n", "4"): "f2865471451ebdbe",
+    ("--n", "5"): "d36b3f97be0bab59",
+    ("--n", "6"): "1c1e93d7052f3e49",
+    ("--n", "7"): "9fb4060a23a84f8f",
+    ("--n", "8", "--sample", "40", "--seed", "7"): "5e5a3ab7d17edd81",
+    ("--n", "9", "--sample", "10", "--seed", "1"): "bdd8a1868a43d15c",
+}
+
+
+class TestCensusAnchors:
+    """sha256[:16] of `census ... --json`: the byte-identity contract."""
+
+    def census_sha(self, capsys, *argv):
+        code, out, _ = run(capsys, "census", *argv, "--json")
+        assert code == 0
+        return hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+
+    @pytest.mark.parametrize("argv", list(CENSUS_ANCHORS), ids=" ".join)
+    def test_anchor(self, capsys, argv):
+        assert self.census_sha(capsys, *argv) == CENSUS_ANCHORS[argv]
+
+    @pytest.mark.parametrize("n", ["5", "6"])
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_anchor_any_jobs(self, capsys, n, jobs):
+        assert self.census_sha(capsys, "--n", n, "--jobs", jobs) == CENSUS_ANCHORS[("--n", n)]
+
+
 class TestHasse:
     def test_dot_output_deterministic(self, capsys):
         code, out1, _ = run(capsys, "hasse", fx("semisimple4.code"))
@@ -326,6 +357,19 @@ class TestConsoleEntryPoint:
             assert "Traceback" not in numba_run.stderr
             [line] = numba_run.stderr.splitlines()
             assert line.startswith("error: ") and "BCKCODES_BACKEND" in line
+
+    def test_closed_stdout_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bckcodes.cli", "census", "--n", "4", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()  # before the child has imported anything, let alone written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == ""  # in particular no Traceback
 
     def test_unusable_backend_still_imports_and_kernels_refuse(self):
         code = (

@@ -1,8 +1,10 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+from bckcodes import _kernels, codegen
 from bckcodes import (
     BlockCode,
     CutSpec,
@@ -254,3 +256,115 @@ class TestCensus:
             assert mat[0].all()
             assert mat.diagonal().all()
             assert not np.tril(mat, -1).any()
+
+
+def _family_table(n: int, mask: int) -> np.ndarray:
+    """Star table of the family matrix whose free bits are `mask`, built
+    through `direct_algebra` rather than the census internals."""
+    width = (n - 1) * (n - 2) // 2
+    mat = np.eye(n, dtype=np.uint8)
+    mat[0, :] = 1
+    cells = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
+    for (i, j), b in zip(cells, format(mask, f"0{width}b") if width else ""):
+        mat[i, j] = int(b)
+    code = BlockCode.from_strings(["".join(str(v) for v in row) for row in mat])
+    alg = direct_algebra(code).algebra
+    assert alg.theta == 0
+    return alg.table
+
+
+def _relabel(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The table with element x renamed p[x]."""
+    out = np.empty_like(table)
+    out[p[:, None], p[None, :]] = p[table]
+    return out
+
+
+class TestCensusForm:
+    """The refinement canonical form against the brute-force lexmin over
+    every theta-fixing permutation."""
+
+    @staticmethod
+    def check(n: int, tables: list[np.ndarray], seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        perms, invs = _kernels.theta_fixing_perms(n)
+        pool = []
+        for t in tables:
+            p = np.concatenate(([0], 1 + rng.permutation(n - 1)))
+            pool += [t, _relabel(t, p)]
+        forms = [codegen._census_form(t) for t in pool]
+        brute = [_kernels.canonical_table(t, perms, invs).tobytes() for t in pool]
+        for k in range(0, len(pool), 2):
+            assert forms[k] == forms[k + 1], "form changed under a theta-fixing relabeling"
+        # equal forms exactly when equal brute-force keys: a bijection of classes
+        assert len(set(forms)) == len(set(brute)) == len(set(zip(forms, brute)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_distinct_family_order(self, n):
+        width = (n - 1) * (n - 2) // 2
+        distinct = {}
+        for mask in range(2**width):
+            t = _family_table(n, mask)
+            distinct.setdefault(t.tobytes(), t)
+        self.check(n, list(distinct.values()), seed=n)
+
+    @pytest.mark.parametrize("n,count", [(7, 40), (8, 15)])
+    def test_seeded_random_family_tables(self, n, count):
+        rng = np.random.default_rng(1000 + n)
+        width = (n - 1) * (n - 2) // 2
+        masks = rng.integers(0, 2**width, size=count)
+        self.check(n, [_family_table(n, int(m)) for m in masks], seed=n)
+
+
+class TestCensusJobs:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace ProcessPoolExecutor by a stand-in that records the worker
+        count asked for and maps in this process: no process is started."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(codegen, "ProcessPoolExecutor", SerialPool)
+        return started
+
+    def test_jobs_clamped_to_usable_cpus_and_matrices(self, pools, monkeypatch):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 3)
+        lone = census(5)
+        assert pools == []
+        assert census(5, jobs=8) == lone
+        assert census(5, jobs=2) == lone
+        assert census(3, jobs=8) == census(3)  # 2 matrices, 2 workers
+        assert pools == [3, 2, 2]
+
+    def test_one_usable_worker_runs_inline(self, pools, monkeypatch):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 1)
+        assert census(5, jobs=8) == census(5)
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
+        assert census(6, sample_count=1, seed=3, jobs=8) == census(6, sample_count=1, seed=3)
+        assert pools == []
+
+    def test_sampled_split_matches_inline(self, pools, monkeypatch):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
+        assert census(8, sample_count=40, seed=7, jobs=4) == census(8, sample_count=40, seed=7)
+        assert pools == [4]
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert codegen._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert codegen._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert codegen._usable_cpus() == 1
