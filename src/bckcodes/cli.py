@@ -1,8 +1,10 @@
 """Command-line surface tying the library together.
 
 Exit codes: 0 success / property true, 1 verification or property false,
-2 usage or format errors, 141 (128 + SIGPIPE) when stdout is closed before
-the report is written.  All reports are deterministic: elements appear in
+2 usage or format errors, 3 an unexpected internal error (one `error:` line,
+no traceback), 141 (128 + SIGPIPE) when stdout is closed before the report
+is written.  A file argument of `-` reads the `.code` or `.alg` text from
+stdin.  All reports are deterministic: elements appear in
 canonical index order and filters are sorted by cardinality then bitmask.
 """
 from __future__ import annotations
@@ -13,7 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from ._kernels import resolve_backend
 from .algebra import are_isomorphic, bck_order, bck_properties, dualize, verify_axioms
 from .codegen import census, cut_code, local_family, local_family_free_bit_count, roundtrip_check, semisimple_family
 from .embedding import direct_algebra, embed_code, tail_set_check
@@ -23,10 +24,13 @@ from .filters import all_filters, classify, maximal_filters
 from .model import DOT, STAR, CutSpec, OpTable
 from .posets import code_poset, hasse_covers, lex_sort_desc
 
+EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 
 
 def _read_text(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -542,7 +546,6 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        resolve_backend()  # an unusable BCKCODES_BACKEND is a usage error, refused before any work
         return args.func(args)
     except (FormatError, UsageError, IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -558,6 +561,10 @@ def main() -> None:
         # the flush at interpreter shutdown does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except Exception as exc:
+        # a crash must not read as "property false" (exit 1)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     sys.exit(code)
 
 

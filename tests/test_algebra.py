@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from bckcodes import (
     DOT,
     STAR,
+    BlockCode,
     OpTable,
     UsageError,
     are_isomorphic,
     bck_order,
     bck_properties,
     dualize,
+    embed_code,
     poset_to_bck,
     verify_axioms,
 )
@@ -106,6 +109,31 @@ class TestVerifyAxioms:
             t = OpTable(table=raw, kind=STAR)
             report = verify_axioms(t, "bck")
             assert sorted(report.violations) == brute_bck_violations(raw)
+
+
+class TestScanMemory:
+    def test_n201_scans_stay_under_16mb(self):
+        # an n^3 int64 cube at n=201 alone is 62 MB; the scans build n x n slices
+        rng = np.random.default_rng(201)
+        words = set()
+        while len(words) < 100:
+            words.add("".join(str(int(b)) for b in rng.integers(0, 2, size=100)))
+        alg = embed_code(BlockCode.from_strings(sorted(words, reverse=True))).algebra
+        assert alg.n == 201
+        dual = dualize(alg)
+        runs = {
+            "bck": lambda: verify_axioms(alg, "bck"),
+            "hilbert": lambda: verify_axioms(dual, "hilbert"),
+            "props": lambda: bck_properties(alg),
+        }
+        for name, call in runs.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (name, peak)
 
 
 class TestBckProperties:

@@ -1,18 +1,15 @@
 import hashlib
+import io
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from bckcodes import _kernels
+from bckcodes import cli
 from bckcodes.cli import run_command
 
 from conftest import FIXTURES
-
-
-NUMBA_AVAILABLE = "numba" in _kernels.IMPLEMENTATIONS
 
 
 def run(capsys, *argv):
@@ -307,19 +304,33 @@ class TestErrorsAndExitCodes:
         code, _, err = run(capsys, "classify", "/nonexistent/x.alg")
         assert code == 2
 
-    def test_unknown_backend_refused(self, capsys, monkeypatch):
-        monkeypatch.setenv("BCKCODES_BACKEND", "nmpy")
-        code, out, err = run(capsys, "census", "--n", "4", "--json")
-        assert code == 2
-        assert out == ""
-        assert "Traceback" not in err
-        assert err.splitlines() == ["error: BCKCODES_BACKEND=nmpy is not a backend (expected numpy or numba)"]
+    def test_internal_error_exits_3_without_traceback(self, capsys, monkeypatch):
+        def crash(argv):
+            raise RuntimeError("boom")
 
-    def test_empty_backend_keeps_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BCKCODES_BACKEND", "")
-        code, out, _ = run(capsys, "census", "--n", "4", "--json")
-        assert code == 0
-        assert json.loads(out)["n"] == 4
+        monkeypatch.setattr(cli, "run_command", crash)
+        monkeypatch.setattr(sys, "argv", ["bckcodes", "census", "--n", "4"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
+        assert "Traceback" not in err
+
+
+class TestStdinInput:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["build", "--mode", "embed", "--json"], "embed9.code"),
+            (["classify", "--json"], "local5_star.alg"),
+        ],
+    )
+    def test_dash_reads_stdin(self, capsys, monkeypatch, argv, name):
+        from_file = run(capsys, *argv, fx(name))
+        monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / name).read_text(encoding="utf-8")))
+        assert run(capsys, *argv, "-") == from_file
+        assert from_file[0] == 0
 
 
 class TestConsoleEntryPoint:
@@ -332,31 +343,17 @@ class TestConsoleEntryPoint:
         assert out.returncode == 0
         assert "2 matrices, 2 classes, bound 2, bound met: yes" in out.stdout
 
-    def test_backend_env_flag_end_to_end(self, capsys):
+    def test_module_invocation_matches_in_process(self, capsys):
         argv = ["census", "--n", "4", "--json"]
         assert run_command(argv) == 0
         in_process = capsys.readouterr().out
-        results = {}
-        for backend in ("numpy", "numba"):
-            results[backend] = subprocess.run(
-                [sys.executable, "-m", "bckcodes.cli", *argv],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "BCKCODES_BACKEND": backend},
-            )
-        numpy_run, numba_run = results["numpy"], results["numba"]
-        assert numpy_run.returncode == 0, numpy_run.stderr
-        assert numpy_run.stdout == in_process
-        if NUMBA_AVAILABLE:
-            assert numba_run.returncode == 0, numba_run.stderr
-            assert numba_run.stdout == numpy_run.stdout
-        else:
-            # an explicit choice that cannot run is refused, never replaced by numpy
-            assert numba_run.returncode == 2
-            assert numba_run.stdout == ""
-            assert "Traceback" not in numba_run.stderr
-            [line] = numba_run.stderr.splitlines()
-            assert line.startswith("error: ") and "BCKCODES_BACKEND" in line
+        out = subprocess.run(
+            [sys.executable, "-m", "bckcodes.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == in_process
 
     def test_closed_stdout_exits_quietly(self):
         proc = subprocess.Popen(
@@ -370,22 +367,3 @@ class TestConsoleEntryPoint:
         proc.stderr.close()
         assert proc.wait() == 141
         assert err == ""  # in particular no Traceback
-
-    def test_unusable_backend_still_imports_and_kernels_refuse(self):
-        code = (
-            "import bckcodes; "
-            "from bckcodes import BlockCode, embed_code, verify_axioms; "
-            "alg = embed_code(BlockCode.from_strings(['11', '01'])).algebra\n"
-            "try:\n"
-            "    verify_axioms(alg, 'bck')\n"
-            "except bckcodes.UsageError as exc:\n"
-            "    print(exc)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "BCKCODES_BACKEND": "nmpy"},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "BCKCODES_BACKEND=nmpy is not a backend (expected numpy or numba)"
