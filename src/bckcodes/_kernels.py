@@ -1,20 +1,11 @@
-"""Hot numeric kernels, in numpy.
+"""Axiom and property scans, in numpy.
 
-Kernel outputs encode first-witness scans as int64 arrays:
-
-  * axiom and property scans return shape (k, 4) rows [found, w0, w1, w2],
-    padded with -1; a witness is the first violation in lexicographic
-    (x, y, z) order.  The n^3 checks build one n x n slice per x and stop at
-    the first x with a violation, so memory stays O(n^2).
-  * canonical_table returns the lexicographically minimal row-major
-    serialization of the table over the supplied permutations.  The census
-    groups its classes by a cheaper refinement canonical form (codegen) and
-    calls this brute force once per class, as the key that orders them.
+Each scan returns an int64 array of shape (k, 4), one row [found, w0, w1, w2]
+per checked law, padded with -1; a witness is the first violation in
+lexicographic (x, y, z) order.  The n^3 checks build one n x n slice per x
+and stop at the first x with a violation, so memory stays O(n^2).
 """
 from __future__ import annotations
-
-import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,26 +94,3 @@ def bck_property_scan(table, theta: int) -> np.ndarray:
     # positive implicative: (x*y)*z == (x*z)*(y*z)
     w3 = _first_over_x(n, lambda x: t[t[x, :, None], idx] != t[t[x][None, :], t])
     return _pack([_first(v1), _first(v2), w3])
-
-
-def canonical_table(table, perms, invs) -> np.ndarray:
-    t = _as_table(table)
-    n = t.shape[0]
-    k = perms.shape[0]
-    sub = t[invs[:, :, None], invs[:, None, :]]
-    mapped = perms[np.arange(k)[:, None, None], sub]
-    flat = mapped.reshape(k, n * n)
-    order = np.lexsort(flat.T[::-1])
-    return np.ascontiguousarray(flat[order[0]])
-
-
-@lru_cache(maxsize=4)
-def theta_fixing_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of 0..n-1 fixing 0, with their inverses, in
-    lexicographic order (so index 0 is the identity)."""
-    perms = np.array(
-        [(0,) + rest for rest in itertools.permutations(range(1, n))],
-        dtype=np.int64,
-    ).reshape(-1, n)
-    invs = np.argsort(perms, axis=1).astype(np.int64)
-    return perms, invs

@@ -2,14 +2,12 @@
 families, and the exhaustive isomorphism census with its matrix-count bound."""
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import _kernels
-from .algebra import refine_colors, verify_axioms
+from .algebra import verify_axioms
 from .embedding import embed_code
 from .errors import UsageError
 from .model import (
@@ -145,44 +143,63 @@ def _matrices_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _census_form(table: np.ndarray) -> bytes:
-    """Canonical form of a census table with theta at 0.
+def _census_form(leq: np.ndarray) -> bytes:
+    """Canonical key of the census algebra on the order `leq` (theta = 0,
+    x * y = 0 if x <= y else x): its lexicographically minimal row-major
+    table over the relabelings that keep theta at 0.
 
-    Individualization-refinement (McKay & Piperno, Practical graph
-    isomorphism II, 2014): the relabelings tried keep theta at 0 and list
-    the other elements by ascending refined colour, so permutations run
-    only within a colour class.  Colours are isomorphism-invariant, so the
-    lexicographically minimal row-major table over those relabelings is
-    equal for two tables exactly when they are isomorphic.
+    Relabeled by p, entry (i, j) is 0 if p_i <= p_j and i otherwise.  The
+    search is individualization-refinement (McKay & Piperno, Practical
+    graph isomorphism II, 2014) on an ordered partition of the unplaced
+    elements: p_k is picked from the first cell, then every cell is split
+    into the elements above p_k followed by the others, which fixes row k.
+    Every state whose row k is minimal goes on to the next level.  Twins
+    (equal strict up- and down-sets) are swapped by an automorphism, so one
+    per twin class is tried in a cell.
     """
-    n = len(table)
-    colors = refine_colors(table, 0)
-    cells = [[x for x in range(1, n) if colors[x] == c] for c in sorted(set(colors[1:]))]
-    orders = np.array(
-        [
-            (0, *itertools.chain.from_iterable(choice))
-            for choice in itertools.product(*map(itertools.permutations, cells))
-        ],
-        dtype=np.int64,
-    ).reshape(-1, n)
-    relabel = np.argsort(orders, axis=1)  # old label -> new label
-    k = len(orders)
-    flat = relabel[np.arange(k)[:, None, None], table[orders[:, :, None], orders[:, None, :]]]
-    flat = flat.reshape(k, n * n)
-    return flat[np.lexsort(flat.T[::-1])[0]].astype(np.uint8).tobytes()
+    n = len(leq)
+    weights = 1 << np.arange(n, dtype=np.int64)
+    up = (leq @ weights).tolist()
+    down = (leq.T @ weights).tolist()
+    twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
+    states = [((0,), [list(range(1, n))])]
+    for _ in range(1, n):
+        best, kept = None, []
+        for placed, (first, *rest) in states:
+            tried = set()
+            for x in first:
+                if twin[x] in tried:
+                    continue
+                tried.add(twin[x])
+                above = up[x]
+                order = (*placed, x)
+                # 1 where row k holds 0: the most leading 1s is the minimal row
+                row = [above >> y & 1 for y in order]
+                cells = []
+                for cell in ([y for y in first if y != x], *rest):
+                    hi = [y for y in cell if above >> y & 1]
+                    lo = [y for y in cell if not above >> y & 1]
+                    cells += [c for c in (hi, lo) if c]
+                    row += [1] * len(hi) + [0] * len(lo)
+                if best is None or row > best:
+                    best, kept = row, []
+                if row == best:
+                    kept.append((order, cells))
+        states = kept
+    p = np.array(states[0][0])
+    return np.where(leq[p][:, p], 0, np.arange(n)[:, None]).astype(np.uint8).tobytes()
 
 
 def _census_batch(
     n: int, bits: np.ndarray, offset: int, forms: dict[bytes, bytes]
 ) -> dict[bytes, list[int]]:
-    """Map canonical form -> [matrix count, minimal global position].
+    """Map canonical key -> [matrix count, minimal global position].
 
-    `forms` caches bit-packed domination order -> canonical form across
+    `forms` caches bit-packed domination order -> canonical key across
     batches.
     """
     mats = _matrices_from_bits(n, bits)
     leq = (mats[:, None, :, :] <= mats[:, :, None, :]).all(axis=3)
-    idx = np.arange(n, dtype=np.int64)
     packed = np.packbits(leq.reshape(len(mats), n * n), axis=1)
     uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
     inverse = inverse.ravel()
@@ -195,7 +212,7 @@ def _census_batch(
         form = forms.get(order)
         if form is None:
             leq_u = np.unpackbits(uniq[u], count=n * n).reshape(n, n).astype(bool)
-            form = forms[order] = _census_form(np.where(leq_u, np.int64(0), idx[:, None]))
+            form = forms[order] = _census_form(leq_u)
         _merge(classes, {form: [int(counts[u]), int(first_pos[u])]})
     return classes
 
@@ -238,11 +255,11 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     elements into isomorphism classes of the induced algebras.
 
     Exhaustive when `sample_count` is None (n <= 7), otherwise a seeded
-    uniform sample of free-bit assignments.  Classes are grouped by the
-    refinement canonical form of their tables and ordered by the
-    lexicographically minimal theta-fixing relabeling (one brute-force
-    key per class), so the report is identical for any worker count.
-    Workers are capped by the usable CPUs and the matrix count.
+    uniform sample of free-bit assignments (`seed` >= 0).  Classes are
+    grouped and ordered by one key, the lexicographically minimal
+    theta-fixing relabeling of their tables (`_census_form`, found by an
+    ordered-partition search), so the report is identical for any worker
+    count.  Workers are capped by the usable CPUs and the matrix count.
     """
     if n < 2:
         raise UsageError("census needs n >= 2")
@@ -262,6 +279,8 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
             raise UsageError(f"census is limited to n <= {CENSUS_SAMPLE_MAX_N}")
         if sample_count < 1:
             raise UsageError("sample count must be positive")
+        if seed < 0:
+            raise UsageError("seed must be non-negative")
         rng = np.random.default_rng(seed)
         sample_bits = rng.integers(0, 2, size=(sample_count, free), dtype=np.uint8)
         evaluated = sample_count
@@ -284,13 +303,7 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
             for result in pool.map(_census_worker, payloads):
                 _merge(classes, result)
 
-    perms, invs = _kernels.theta_fixing_perms(n)
-
-    def lexmin_key(form: bytes) -> bytes:
-        table = np.frombuffer(form, np.uint8).reshape(n, n)
-        return _kernels.canonical_table(table, perms, invs).tobytes()
-
-    ordered = sorted((lexmin_key(form), entry) for form, entry in classes.items())
+    ordered = sorted(classes.items())
     sizes = tuple(count for _, (count, _) in ordered)
     reps = []
     for _, (_, pos) in ordered:

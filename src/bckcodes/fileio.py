@@ -49,11 +49,8 @@ def _renumber(table: np.ndarray, theta: int, labels):
     """Move theta to index 0, keeping the other elements' relative order."""
     n = table.shape[0]
     order = [theta] + [i for i in range(n) if i != theta]
-    new_of = {old: new for new, old in enumerate(order)}
-    out = np.empty_like(table)
-    for a in range(n):
-        for b in range(n):
-            out[new_of[a], new_of[b]] = new_of[int(table[a, b])]
+    new_of = np.argsort(order)
+    out = new_of[table[np.ix_(order, order)]]
     new_labels = tuple(labels[i] for i in order) if labels is not None else None
     return out, new_labels
 

@@ -317,6 +317,17 @@ class TestErrorsAndExitCodes:
         assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
         assert "Traceback" not in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
+        argv = ["bckcodes", "census", "--n", "5", "--sample", "3", "--seed", "-1"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestStdinInput:
     @pytest.mark.parametrize(

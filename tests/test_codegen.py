@@ -1,10 +1,12 @@
+import functools
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bckcodes import _kernels, codegen
+from bckcodes import codegen
 from bckcodes import (
     BlockCode,
     CutSpec,
@@ -280,40 +282,108 @@ def _relabel(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _family_orders(n: int) -> np.ndarray:
+    """Every distinct order of the n-element family: x <= y when the
+    support of matrix row y lies inside that of row x."""
+    width = (n - 1) * (n - 2) // 2
+    masks = np.arange(2**width)
+    mats = np.zeros((len(masks), n, n), dtype=bool)
+    mats[:, np.arange(n), np.arange(n)] = True
+    mats[:, 0, :] = True
+    cells = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
+    for b, (i, j) in enumerate(cells):
+        mats[:, i, j] = masks >> (width - 1 - b) & 1
+    leq = ~(mats[:, None, :, :] & ~mats[:, :, None, :]).any(axis=3)
+    return np.unique(leq, axis=0)
+
+
+def _induced(leq: np.ndarray) -> np.ndarray:
+    """The census table of an order: x * y = 0 if x <= y else x."""
+    return np.where(leq, 0, np.arange(len(leq))[:, None])
+
+
+def _poset_leq(n: int, covers) -> np.ndarray:
+    """Theta = 0 below elements 1..n-1, ordered by the closure of `covers`."""
+    leq = np.eye(n, dtype=bool)
+    leq[0] = True
+    for x, y in covers:
+        leq[x, y] = True
+    for k in range(n):
+        leq |= leq[:, k : k + 1] & leq[k : k + 1, :]
+    return leq
+
+
+@functools.lru_cache(maxsize=2)
+def _theta_fixing_relabelings(n: int):
+    """The (n-1)! relabelings that keep 0 in place, for one flat gather:
+    the old cell read at each new cell, the row offsets n * k, and old
+    label -> new label shifted by those offsets."""
+    olds = np.array([(0, *rest) for rest in itertools.permutations(range(1, n))], dtype=np.int64)
+    olds = olds.reshape(-1, n)
+    cells = (olds[:, :, None] * n + olds[:, None, :]).reshape(len(olds), n * n)
+    offsets = n * np.arange(len(olds))[:, None]
+    return cells, offsets, (np.argsort(olds, axis=1) + offsets).ravel()
+
+
+def _brute_lexmin(table: np.ndarray) -> bytes:
+    """Oracle: the lexicographically minimal row-major table over all
+    (n-1)! relabelings that keep theta = 0 in place."""
+    cells, offsets, new_of = _theta_fixing_relabelings(len(table))
+    flat = new_of[np.ravel(table)[cells] + offsets] - offsets
+    return flat[np.lexsort(flat.T[::-1])[0]].astype(np.uint8).tobytes()
+
+
 class TestCensusForm:
-    """The refinement canonical form against the brute-force lexmin over
-    every theta-fixing permutation."""
+    """The ordered-partition search against the brute-force lexmin over
+    every theta-fixing relabeling."""
 
     @staticmethod
-    def check(n: int, tables: list[np.ndarray], seed: int) -> None:
+    def check(tables, seed: int) -> None:
         rng = np.random.default_rng(seed)
-        perms, invs = _kernels.theta_fixing_perms(n)
-        pool = []
         for t in tables:
+            n = len(t)
+            assert np.array_equal(t, _induced(t == 0))
+            key = codegen._census_form(t == 0)
+            assert key == _brute_lexmin(t), t
             p = np.concatenate(([0], 1 + rng.permutation(n - 1)))
-            pool += [t, _relabel(t, p)]
-        forms = [codegen._census_form(t) for t in pool]
-        brute = [_kernels.canonical_table(t, perms, invs).tobytes() for t in pool]
-        for k in range(0, len(pool), 2):
-            assert forms[k] == forms[k + 1], "form changed under a theta-fixing relabeling"
-        # equal forms exactly when equal brute-force keys: a bijection of classes
-        assert len(set(forms)) == len(set(brute)) == len(set(zip(forms, brute)))
+            assert codegen._census_form(_relabel(t, p) == 0) == key, (t, p)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_every_distinct_family_order(self, n):
-        width = (n - 1) * (n - 2) // 2
-        distinct = {}
-        for mask in range(2**width):
-            t = _family_table(n, mask)
-            distinct.setdefault(t.tobytes(), t)
-        self.check(n, list(distinct.values()), seed=n)
+        self.check([_induced(leq) for leq in _family_orders(n)], seed=n)
 
-    @pytest.mark.parametrize("n,count", [(7, 40), (8, 15)])
+    @pytest.mark.parametrize("n,count", [(7, 40), (8, 15), (9, 15)])
     def test_seeded_random_family_tables(self, n, count):
         rng = np.random.default_rng(1000 + n)
         width = (n - 1) * (n - 2) // 2
         masks = rng.integers(0, 2**width, size=count)
-        self.check(n, [_family_table(n, int(m)) for m in masks], seed=n)
+        self.check([_family_table(n, int(m)) for m in masks], seed=n)
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            [(k, k + 1) for k in range(1, 8)],  # chain
+            [],  # antichain
+            [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)],  # two 4-chains
+            [(1, 2), (3, 4), (5, 6), (7, 8)],  # four 2-chains
+            [(a, 5 + (a - 1 + d) % 4) for a in range(1, 5) for d in (0, 1)],  # 8-crown
+        ],
+        ids=["chain", "antichain", "two-4-chains", "four-2-chains", "crown"],
+    )
+    def test_symmetric_posets_on_eight_elements(self, covers):
+        self.check([_induced(_poset_leq(9, covers))], seed=len(covers))
+
+
+class TestCensusMemory:
+    def test_sampled_n10_stays_under_16mb(self):
+        # a brute-force key over all 9! relabelings at n=10 peaks above 600 MB
+        tracemalloc.start()
+        try:
+            census(10, sample_count=1, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestCensusJobs:

@@ -97,6 +97,27 @@ class TestAlgebraFiles:
         assert t.labels == ("θ", "a")
         assert verify_axioms(t, "bck").passed
 
+    def test_theta_renumbering_matches_plain_relabeling(self):
+        # a 6-element chain, theta lowest, stored with theta at index 3
+        n, theta = 6, 3
+        chain = [theta, *np.random.default_rng(6).permutation([0, 1, 2, 4, 5]).tolist()]
+        rank = {x: r for r, x in enumerate(chain)}
+        table = [[theta if rank[x] <= rank[y] else x for y in range(n)] for x in range(n)]
+        labels = [f"e{x}" for x in range(n)]
+        text = f"kind star\nn {n}\ntheta {theta}\nlabels {' '.join(labels)}\n"
+        text += "".join(" ".join(map(str, row)) + "\n" for row in table)
+        t = parse_algebra_file(text)
+        order = [theta] + [x for x in range(n) if x != theta]
+        new_of = {old: new for new, old in enumerate(order)}
+        want = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                want[new_of[a]][new_of[b]] = new_of[table[a][b]]
+        assert t.theta == 0
+        assert t.table.tolist() == want
+        assert t.labels == tuple(labels[x] for x in order)
+        assert verify_axioms(t, "bck").passed
+
     def test_roundtrip_on_fixtures(self):
         for name in (
             "embed9_star.alg",

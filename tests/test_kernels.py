@@ -6,13 +6,6 @@ import pytest
 from bckcodes import _kernels as K
 
 
-def random_tables(count, seed, max_n=9):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(1, max_n))
-        yield rng.integers(0, n, size=(n, n)).astype(np.int64)
-
-
 def late_witness_tables(count, seed):
     """Seeded n <= 12 tables: half uniform random, half the BCK chain table
     (x*y = 0 if x <= y else x, and its transpose) with one cell overwritten,
@@ -73,41 +66,3 @@ class TestScansAgainstBruteForce:
                 assert kernel(table, theta).tolist() == want, (table, theta)
                 late += any(r[0] and r[1] >= n // 2 > 0 for r in want)
         assert late >= 20  # the tables do reach witnesses past the first rows
-
-
-class TestCanonicalForm:
-    def test_invariant_under_theta_fixing_relabeling(self):
-        rng = np.random.default_rng(13)
-        for t in random_tables(60, seed=19, max_n=7):
-            n = t.shape[0]
-            perms, invs = K.theta_fixing_perms(n)
-            base = K.canonical_table(t, perms, invs)
-            sigma = np.concatenate(([0], rng.permutation(np.arange(1, n)))).astype(np.int64)
-            inv = np.argsort(sigma)
-            relabeled = sigma[t[inv[:, None], inv[None, :]]]
-            again = K.canonical_table(relabeled, perms, invs)
-            assert np.array_equal(base, again)
-
-    def test_canonical_form_is_reachable(self):
-        # the canonical serialization must itself be one of the relabelings
-        for t in random_tables(40, seed=23, max_n=6):
-            n = t.shape[0]
-            perms, invs = K.theta_fixing_perms(n)
-            best = K.canonical_table(t, perms, invs)
-            serializations = []
-            for p in range(len(perms)):
-                sigma, inv = perms[p], invs[p]
-                serializations.append(
-                    tuple(sigma[t[inv[:, None], inv[None, :]]].flatten())
-                )
-            assert tuple(best) == min(serializations)
-
-
-class TestPermTable:
-    def test_identity_first(self):
-        perms, invs = K.theta_fixing_perms(4)
-        assert perms.shape == (6, 4)
-        assert list(perms[0]) == [0, 1, 2, 3]
-        for p in range(len(perms)):
-            assert perms[p][invs[p]].tolist() == [0, 1, 2, 3]
-            assert perms[p][0] == 0
