@@ -462,8 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build an algebra from a code file")
     p.add_argument("--mode", choices=("embed", "direct"), default="embed")
-    p.add_argument("--out", help="write the algebra file here instead of stdout")
-    p.add_argument("--json", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--out", help="write the algebra file here instead of stdout")
+    group.add_argument("--json", action="store_true")
     p.add_argument("codefile")
     p.set_defaults(func=_cmd_build)
 
@@ -479,8 +480,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_props)
 
     p = sub.add_parser("dual", help="transpose a table, toggling star/dot")
-    p.add_argument("--out", help="write the algebra file here instead of stdout")
-    p.add_argument("--json", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--out", help="write the algebra file here instead of stdout")
+    group.add_argument("--json", action="store_true")
     p.add_argument("algfile")
     p.set_defaults(func=_cmd_dual)
 

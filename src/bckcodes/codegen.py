@@ -23,7 +23,7 @@ from .model import (
 from .posets import lex_sort_desc
 
 CENSUS_EXHAUSTIVE_MAX_N = 7
-CENSUS_SAMPLE_MAX_N = 10
+CENSUS_SAMPLE_MAX_N = 16
 _BATCH = 4096
 
 

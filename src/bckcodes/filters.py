@@ -1,9 +1,11 @@
 """Filters (deductive systems) of Hilbert-style dot tables: membership,
 generation, enumeration and the semisimple/local classification.
 
-Member sets are manipulated as int bitmasks internally; the deductive
-closure runs a worklist so that growing a known filter by one element costs
-O(n) amortized rather than a full fixpoint restart.
+Member sets are manipulated as int bitmasks internally.  Generation,
+enumeration and maximality rest on one closure step, the deduction theorem
+for Hilbert algebras (Diego, *Sur les algèbres de Hilbert*, 1966): the
+filter generated by a filter D and an element a is {x : a.x in D}, one
+pass over row a.
 """
 from __future__ import annotations
 
@@ -28,41 +30,14 @@ def _pytable(h: OpTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in row) for row in h.table)
 
 
-def _by_value(rows) -> list[list[tuple[int, int]]]:
-    """by_value[v] lists the cells (x, y) with rows[x][y] == v."""
-    n = len(rows)
-    out = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            out[rows[x][y]].append((x, y))
-    return out
-
-
-def _close(rows, by_value, n: int, base: int, added) -> int:
-    """Deductive closure of base | added, given that base is already closed.
-
-    Worklist rule: x in M and rows[x][y] in M force y into M.  A newly
-    added element z fires both as the premise row (scan rows[z]) and as the
-    premise value (scan the cells equal to z).
-    """
-    members = base
-    queue = []
-    for e in added:
-        if not members >> e & 1:
-            members |= 1 << e
-            queue.append(e)
-    while queue:
-        z = queue.pop()
-        row = rows[z]
-        for y in range(n):
-            if not members >> y & 1 and members >> row[y] & 1:
-                members |= 1 << y
-                queue.append(y)
-        for x, y in by_value[z]:
-            if members >> x & 1 and not members >> y & 1:
-                members |= 1 << y
-                queue.append(y)
-    return members
+def _grow(row: tuple[int, ...], mask: int) -> int:
+    """The filter generated by the filter `mask` and the element whose row
+    of the dot table is `row`: every x with row[x] in mask."""
+    grown = 0
+    for x, v in enumerate(row):
+        if mask >> v & 1:
+            grown |= 1 << x
+    return grown
 
 
 def _mask_to_set(mask: int, n: int) -> frozenset[int]:
@@ -94,38 +69,61 @@ def is_filter(h: OpTable, s) -> tuple[bool, tuple[int, int] | None]:
 
 
 def generated_filter(h: OpTable, seed) -> Filter:
-    """Least filter containing the seed: deductive closure of
-    {theta} union seed."""
+    """Least filter containing the seed: {theta} grown by one seed element
+    at a time."""
     _require_hilbert(h)
     seed = _check_members(h, seed)
     rows = _pytable(h)
-    mask = _close(rows, _by_value(rows), h.n, 0, seed | {h.theta})
+    mask = 1 << h.theta
+    for a in sorted(seed):
+        mask = _grow(rows[a], mask)
     return Filter(members=_mask_to_set(mask, h.n))
 
 
-def _enumerate_masks(h: OpTable) -> list[int]:
+def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
+    """Every filter and the maximal proper ones, each in (cardinality,
+    bitmask) order.
+
+    Breadth-first from {theta}, a filter because theta.y = y, growing each
+    proper filter by each element outside it.  Every filter is reached,
+    since it is the growth of a smaller filter inside it by one of its
+    elements; a proper filter is maximal exactly when every such growth is
+    the carrier.
+    """
     rows = _pytable(h)
-    by_value = _by_value(rows)
-    n = h.n
-    base = _close(rows, by_value, n, 0, (h.theta,))
+    carrier = (1 << h.n) - 1
+    base = 1 << h.theta
     found = {base}
+    maximal = []
     frontier = [base]
     while frontier:
         nxt = []
         for mask in frontier:
-            for e in range(n):
-                if mask >> e & 1:
+            if mask == carrier:
+                continue
+            is_maximal = True
+            for a, row in enumerate(rows):
+                if mask >> a & 1:
                     continue
-                grown = _close(rows, by_value, n, mask, (e,))
-                if grown not in found:
-                    found.add(grown)
-                    nxt.append(grown)
+                grown = _grow(row, mask)
+                if grown != carrier:
+                    is_maximal = False
+                    if grown not in found:
+                        found.add(grown)
+                        nxt.append(grown)
+            if is_maximal:
+                maximal.append(mask)
         frontier = nxt
-    return sorted(found, key=lambda m: (bin(m).count("1"), m))
+    found.add(carrier)
+
+    def order(m: int) -> tuple[int, int]:
+        return m.bit_count(), m
+
+    return sorted(found, key=order), sorted(maximal, key=order)
 
 
 def all_filters(h: OpTable) -> list[Filter]:
-    """Every filter, by breadth-first closure expansion from {theta}.
+    """Every filter, by breadth-first growth from {theta}.
 
     Output order: cardinality, then bitmask value.
     """
@@ -137,25 +135,14 @@ def all_filters(h: OpTable) -> list[Filter]:
             f"warning: enumerating filters of a {h.n}-element algebra may be slow",
             file=sys.stderr,
         )
-    return [Filter(members=_mask_to_set(m, h.n)) for m in _enumerate_masks(h)]
-
-
-def _maximal_masks(masks: list[int], carrier: int) -> list[int]:
-    proper = [m for m in masks if m != carrier]
-    return [m for m in proper if not any(m != g and m & g == m for g in proper)]
+    return [Filter(members=_mask_to_set(m, h.n)) for m in _enumerate_masks(h)[0]]
 
 
 def maximal_filters(h: OpTable) -> list[Filter]:
     """Proper filters maximal under inclusion among proper filters; empty
     for the one-element algebra."""
     _require_hilbert(h)
-    if h.n == 1:
-        return []
-    carrier = (1 << h.n) - 1
-    return [
-        Filter(members=_mask_to_set(m, h.n))
-        for m in _maximal_masks(_enumerate_masks(h), carrier)
-    ]
+    return [Filter(members=_mask_to_set(m, h.n)) for m in _enumerate_masks(h)[1]]
 
 
 def classify(h: OpTable, auto_dualize: bool = True) -> ClassificationReport:
@@ -170,7 +157,7 @@ def classify(h: OpTable, auto_dualize: bool = True) -> ClassificationReport:
             raise UsageError("got a star table with auto_dualize disabled")
         h = dualize(h)
     _require_hilbert(h)
-    masks = _enumerate_masks(h)
+    masks, maximal = _enumerate_masks(h)
     if h.n == 1:
         return ClassificationReport(
             all_filter_count=len(masks),
@@ -180,9 +167,7 @@ def classify(h: OpTable, auto_dualize: bool = True) -> ClassificationReport:
             is_local=False,
             degenerate=True,
         )
-    carrier = (1 << h.n) - 1
-    maximal = _maximal_masks(masks, carrier)
-    radical_mask = carrier
+    radical_mask = (1 << h.n) - 1
     for m in maximal:
         radical_mask &= m
     radical = _mask_to_set(radical_mask, h.n)

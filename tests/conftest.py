@@ -1,5 +1,5 @@
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,42 @@ def brute_maximal(dot_table: np.ndarray, theta: int = 0) -> list[frozenset]:
     return [f for f in proper if not any(f < g for g in proper)]
 
 
+def heyting_downsets(leq: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dot table of Heyting implication on the down-sets of the poset `leq`
+    (leq[i, j] means i <= j), and the index of theta, the whole poset.
+
+    Down-sets are listed by size, then bitmask, so theta comes last.  A . B
+    is the largest down-set C with C & A inside B: every point whose
+    principal down-set meets A only inside B.  When the poset is not a chain
+    some A . B is neither theta nor B, so no poset induces the table.
+    """
+    k = len(leq)
+    below = [sum(1 << i for i in range(k) if leq[i, p]) for p in range(k)]
+    downsets = [
+        m
+        for m in range(1 << k)
+        if all(below[p] & ~m == 0 for p in range(k) if m >> p & 1)
+    ]
+    downsets.sort(key=lambda m: (bin(m).count("1"), m))
+    index = {m: i for i, m in enumerate(downsets)}
+    table = [
+        [index[sum(1 << p for p in range(k) if below[p] & a & ~b == 0)] for b in downsets]
+        for a in downsets
+    ]
+    return np.array(table, dtype=np.int64), len(downsets) - 1
+
+
+def posets_up_to_iso(k: int) -> list[np.ndarray]:
+    """One poset per isomorphism class on k elements, as `leq` matrices:
+    the canonical form is the minimal serialization over all k!
+    relabelings."""
+    perms = [np.array(p) for p in permutations(range(k))]
+    found = {}
+    for rel in labeled_posets(k):
+        found.setdefault(min(rel[np.ix_(p, p)].tobytes() for p in perms), rel)
+    return list(found.values())
+
+
 def labeled_posets(k: int) -> np.ndarray:
     """Every reflexive-antisymmetric-transitive relation on k elements,
     found by scanning all off-diagonal bit masks."""
@@ -74,18 +110,6 @@ def labeled_posets(k: int) -> np.ndarray:
         transitive = ~((reach & ~rel).any(axis=(1, 2)))
         kept.append(rel[antisym & transitive])
     return np.concatenate(kept)
-
-
-def count_posets_up_to_iso(k: int) -> int:
-    """Isomorphism classes of posets on k elements: canonical form is the
-    minimal serialization over all k! relabelings."""
-    from itertools import permutations
-
-    perms = [np.array(p) for p in permutations(range(k))]
-    canons = set()
-    for rel in labeled_posets(k):
-        canons.add(min(rel[np.ix_(p, p)].tobytes() for p in perms))
-    return len(canons)
 
 
 def random_codes(count: int, seed: int, max_words: int = 8, max_length: int = 8):

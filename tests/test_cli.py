@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,14 @@ from bckcodes import cli
 from bckcodes.cli import run_command
 
 from conftest import FIXTURES
+
+# child interpreters import the same bckcodes as this process, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -328,6 +338,16 @@ class TestErrorsAndExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,name", [("build", "local5.code"), ("dual", "local5_star.alg")]
+    )
+    def test_out_with_json_is_a_usage_error(self, capsys, tmp_path, command, name):
+        target = tmp_path / "o.alg"
+        code, out, err = run(capsys, command, "--json", "--out", str(target), fx(name))
+        assert code == 2
+        assert out == "" and "not allowed with" in err
+        assert not target.exists()
+
 
 class TestStdinInput:
     @pytest.mark.parametrize(
@@ -350,6 +370,7 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "bckcodes.cli", "census", "--n", "3"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert out.returncode == 0
         assert "2 matrices, 2 classes, bound 2, bound met: yes" in out.stdout
@@ -362,6 +383,7 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "bckcodes.cli", *argv],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout == in_process
@@ -372,6 +394,7 @@ class TestConsoleEntryPoint:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=CHILD_ENV,
         )
         proc.stdout.close()  # before the child has imported anything, let alone written
         err = proc.stderr.read()

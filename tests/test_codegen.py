@@ -23,7 +23,7 @@ from bckcodes import (
     semisimple_family,
 )
 
-from conftest import count_posets_up_to_iso, random_codes
+from conftest import posets_up_to_iso, random_codes
 from golden import EMBED9_CODE, LOCAL5_CODE, LOCAL5_FREE_BITS, SEMI4_CODE
 
 
@@ -130,16 +130,23 @@ class TestFamilies:
             assert report.is_local
             assert report.maximal_filters[0].members == carrier_minus_last
 
-    @pytest.mark.parametrize("n", range(7, 11))
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 16])
     def test_local_classification_sampled(self, n):
         rng = np.random.default_rng(100 + n)
         width = local_family_free_bit_count(n)
         carrier_minus_last = frozenset(range(n - 1))
-        for _ in range(25):
-            bits = "".join(str(int(b)) for b in rng.integers(0, 2, size=width))
+        zero = "0" * width
+        samples = [zero] + [
+            "".join(str(int(b)) for b in rng.integers(0, 2, size=width)) for _ in range(25)
+        ]
+        for bits in samples:
             report = classify(direct_algebra(local_family(n, bits)).algebra)
             assert report.is_local
             assert report.maximal_filters[0].members == carrier_minus_last
+            if bits == zero:
+                # the middle n-2 words form an antichain: theta with any
+                # subset of it is a filter, and the carrier is one more
+                assert report.all_filter_count == 2 ** (n - 2) + 1
 
 
 class TestCensus:
@@ -158,7 +165,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_class_count_matches_poset_oracle(self, n):
-        assert census(n).class_count == count_posets_up_to_iso(n - 1)
+        assert census(n).class_count == len(posets_up_to_iso(n - 1))
 
     def test_n3_classes_are_chain_and_antichain(self):
         report = census(3)
@@ -243,7 +250,10 @@ class TestCensus:
 
     def test_sample_limit(self):
         with pytest.raises(UsageError):
-            census(11, sample_count=5)
+            census(17, sample_count=5)
+        report = census(16, sample_count=20, seed=3)
+        assert report.evaluated == sum(report.class_sizes) == 20
+        assert report.free_bits == 15 * 14 // 2
 
     def test_n2_degenerate_family(self):
         report = census(2)

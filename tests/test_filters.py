@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,13 @@ from bckcodes import (
     semisimple_family,
 )
 
-from conftest import brute_filters, brute_maximal, star_table
+from conftest import (
+    brute_filters,
+    brute_maximal,
+    heyting_downsets,
+    posets_up_to_iso,
+    star_table,
+)
 from golden import (
     EMBED9_CODE,
     EMBED9_NONCLOSED_WITNESS,
@@ -217,11 +225,63 @@ class TestClassify:
             assert report.is_semisimple == (radical == frozenset({h.theta}))
             assert h.theta in report.radical
 
-    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("k", [*range(1, 10), 15])
     def test_antichain_structure(self, k):
-        # theta plus a k-antichain: k maximal filters, radical {theta}
+        # theta plus a k-antichain: 2^k filters, k maximal, radical {theta}
         report = classify(direct_algebra(semisimple_family(k + 1)).algebra)
+        assert report.all_filter_count == 2**k
         assert len(report.maximal_filters) == k
         assert report.radical == frozenset({0})
         if k >= 2:
             assert report.is_semisimple
+
+
+def _bitmask_order(s: frozenset) -> tuple[int, int]:
+    return len(s), sum(1 << i for i in s)
+
+
+class TestHeytingDownsets:
+    """Hilbert algebras that no poset induces: Heyting implication on the
+    down-sets of one poset per isomorphism class on 1..4 points, with theta
+    (the whole poset) as the last index."""
+
+    @staticmethod
+    def algebras(k: int):
+        for leq in posets_up_to_iso(k):
+            table, theta = heyting_downsets(leq)
+            yield OpTable(table=table, kind=DOT, theta=theta)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_filters_and_classification_match_brute_force(self, k):
+        not_induced = 0
+        for h in self.algebras(k):
+            table = np.asarray(h.table)
+            not_induced += bool(((table != h.theta) & (table != np.arange(h.n))).any())
+            want = sorted(brute_filters(table, h.theta), key=_bitmask_order)
+            want_maximal = set(brute_maximal(table, h.theta))
+            assert [f.members for f in all_filters(h)] == want
+            assert [f.members for f in maximal_filters(h)] == [
+                f for f in want if f in want_maximal
+            ]
+            report = classify(h, auto_dualize=False)
+            assert report.all_filter_count == len(want)
+            assert set(f.members for f in report.maximal_filters) == want_maximal
+            radical = frozenset(range(h.n)).intersection(*want_maximal)
+            assert report.radical == radical
+            assert report.is_semisimple == (radical == {h.theta})
+            assert report.is_local == (len(want_maximal) == 1)
+        assert not_induced > 0 or k == 1
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_generated_filter_is_least_filter_containing_seed(self, k):
+        rng = np.random.default_rng(k)
+        for h in self.algebras(k):
+            filters = brute_filters(np.asarray(h.table), h.theta)
+            seeds = [frozenset(c) for r in (0, 1, 2) for c in combinations(range(h.n), r)]
+            seeds += [
+                frozenset(int(i) for i in rng.choice(h.n, size=size, replace=False))
+                for size in range(3, h.n + 1)
+            ]
+            for seed in seeds:
+                least = frozenset(range(h.n)).intersection(*(f for f in filters if seed <= f))
+                assert generated_filter(h, seed).members == least, (h.table, seed)
