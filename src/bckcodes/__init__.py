@@ -43,7 +43,6 @@ from .model import (
     CutResult,
     CutSpec,
     Embedding,
-    ExtendedMatrix,
     Filter,
     IsoResult,
     OpTable,
@@ -70,7 +69,6 @@ __all__ = [
     "CutSpec",
     "DOT",
     "Embedding",
-    "ExtendedMatrix",
     "Filter",
     "FormatError",
     "IntegrityError",

@@ -48,13 +48,20 @@ def verify_axioms(t: OpTable, kind: str) -> AxiomReport:
     return _report_from_scan(kind, scan)
 
 
+def require_axioms(t: OpTable, kind: str) -> None:
+    """Raise a UsageError naming the first failing axiom unless `t` passes
+    the "bck" or "hilbert" axioms."""
+    report = verify_axioms(t, kind)
+    if not report.passed:
+        axiom, witness = report.violations[0]
+        name = "a BCK-algebra" if kind == "bck" else "a Hilbert algebra"
+        raise UsageError(f"table is not {name} (axiom {axiom} fails at {witness})")
+
+
 def bck_properties(t: OpTable) -> PropertyFlags:
     """Commutativity, implicativity and positive implicativity of a valid
     BCK star table, with first counterexamples for the failures."""
-    report = verify_axioms(t, "bck")
-    if not report.passed:
-        axiom, witness = report.violations[0]
-        raise UsageError(f"table is not a BCK-algebra (axiom {axiom} fails at {witness})")
+    require_axioms(t, "bck")
     scan = _kernels.bck_property_scan(t.table, t.theta)
     witnesses = []
     for row, arity in zip(scan, (2, 2, 3)):
@@ -121,10 +128,6 @@ def _canonical_ids(signatures) -> list[int]:
     return [order[sig] for sig in signatures]
 
 
-def _validity_kind(kind: str) -> str:
-    return "hilbert" if kind == DOT else "bck"
-
-
 def are_isomorphic(t1: OpTable, t2: OpTable) -> IsoResult:
     """Search for a theta-fixing isomorphism by backtracking.
 
@@ -134,12 +137,7 @@ def are_isomorphic(t1: OpTable, t2: OpTable) -> IsoResult:
     if t1.kind != t2.kind:
         raise UsageError("cannot compare tables of different kinds")
     for t in (t1, t2):
-        rep = verify_axioms(t, _validity_kind(t.kind))
-        if not rep.passed:
-            axiom, witness = rep.violations[0]
-            raise UsageError(
-                f"isomorphism testing expects valid algebras; axiom {axiom} fails at {witness}"
-            )
+        require_axioms(t, "hilbert" if t.kind == DOT else "bck")
     n = t1.n
     if n != t2.n:
         return IsoResult(isomorphic=False)

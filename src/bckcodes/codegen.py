@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .algebra import verify_axioms
+from .algebra import require_axioms
 from .embedding import embed_code
 from .errors import UsageError
 from .model import (
@@ -20,11 +20,16 @@ from .model import (
     OpTable,
     RoundtripReport,
 )
-from .posets import lex_sort_desc
+from .posets import domination_leq, star_from_order
 
 CENSUS_EXHAUSTIVE_MAX_N = 7
 CENSUS_SAMPLE_MAX_N = 16
 _BATCH = 4096
+
+
+def _cut_bits(alg: OpTable, rows, cols) -> list[list[int]]:
+    """Bit (r, x) is 1 exactly when r * x is theta."""
+    return (alg.table[np.ix_(rows, cols)] == alg.theta).astype(np.uint8).tolist()
 
 
 def cut_code(alg: OpTable, spec: CutSpec) -> CutResult:
@@ -33,16 +38,9 @@ def cut_code(alg: OpTable, spec: CutSpec) -> CutResult:
     deduplicated (first occurrence wins) when packaging the block code."""
     if alg.kind != STAR:
         raise UsageError("cut rows are read off a star table")
-    rep = verify_axioms(alg, "bck")
-    if not rep.passed:
-        axiom, witness = rep.violations[0]
-        raise UsageError(f"table is not a BCK-algebra (axiom {axiom} fails at {witness})")
+    require_axioms(alg, "bck")
     spec.validate_against(alg.n)
-    t, theta = alg.table, alg.theta
-    words = tuple(
-        Codeword(tuple(1 if t[r, x] == theta else 0 for x in spec.col_elements))
-        for r in spec.row_elements
-    )
+    words = tuple(Codeword(tuple(bits)) for bits in _cut_bits(alg, spec.row_elements, spec.col_elements))
     seen: dict[Codeword, int] = {}
     kept = []
     collisions = []
@@ -56,15 +54,13 @@ def cut_code(alg: OpTable, spec: CutSpec) -> CutResult:
 
 
 def roundtrip_check(c: BlockCode) -> RoundtripReport:
-    """Embed the code, cut it back out over (code rows x tail elements) and
-    compare with the lex-sorted input word for word."""
+    """Embed the code, read it back out over (code rows x tail elements) and
+    compare with the lex-sorted input word for word.  The embedded table is
+    a BCK-algebra by construction, so it is not re-verified."""
     emb = embed_code(c)
-    result = cut_code(
-        emb.algebra,
-        CutSpec(row_elements=emb.code_row_elements, col_elements=emb.tail_elements),
-    )
-    expected = lex_sort_desc(c)
-    recovered = result.words
+    bits = _cut_bits(emb.algebra, emb.code_row_elements, emb.tail_elements)
+    recovered = tuple(Codeword(tuple(row)) for row in bits)
+    expected = BlockCode(tuple(c.words[i] for i in emb.sort_permutation))
     mismatch = None
     for i, (got, want) in enumerate(zip(recovered, expected.words)):
         if got != want:
@@ -97,9 +93,9 @@ def local_family(n: int, free_bits="") -> BlockCode:
     2 <= i < j <= n-1 (1-based) come from `free_bits` in row-major order."""
     if n < 2:
         raise UsageError("the local family needs n >= 2")
+    if any(str(b) not in ("0", "1") for b in free_bits):
+        raise UsageError(f"free bits must be 0 or 1, got {free_bits!r}")
     bits = [int(b) for b in free_bits]
-    if any(b not in (0, 1) for b in bits):
-        raise UsageError("free bits must be 0 or 1")
     positions = [(i, j) for i in range(1, n - 2) for j in range(i + 1, n - 1)]
     if len(bits) != len(positions):
         raise UsageError(
@@ -187,7 +183,7 @@ def _census_form(leq: np.ndarray) -> bytes:
                     kept.append((order, cells))
         states = kept
     p = np.array(states[0][0])
-    return np.where(leq[p][:, p], 0, np.arange(n)[:, None]).astype(np.uint8).tobytes()
+    return star_from_order(leq[p][:, p]).astype(np.uint8).tobytes()
 
 
 def _census_batch(
@@ -199,7 +195,7 @@ def _census_batch(
     batches.
     """
     mats = _matrices_from_bits(n, bits)
-    leq = (mats[:, None, :, :] <= mats[:, :, None, :]).all(axis=3)
+    leq = domination_leq(mats)
     packed = np.packbits(leq.reshape(len(mats), n * n), axis=1)
     uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
     inverse = inverse.ravel()

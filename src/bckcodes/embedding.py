@@ -4,45 +4,55 @@ filter check."""
 from __future__ import annotations
 
 import string
-from dataclasses import replace
 
 import numpy as np
 
 from .algebra import dualize
 from .errors import UsageError
-from .filters import is_filter
-from .model import BlockCode, Codeword, Embedding, ExtendedMatrix, Filter
-from .posets import code_poset, lex_sort_desc_with_perm, poset_to_bck
+from .filters import _closure_witness
+from .model import STAR, BlockCode, Embedding, Filter, OpTable
+from .posets import domination_leq, lex_sort_desc_with_perm, star_from_order
 
 
-def extend_matrix(c: BlockCode) -> ExtendedMatrix:
-    """Square upper-triangular extension of a code matrix.
-
-    The code is lex-sorted descending (permutation recorded), an identity
-    prefix is attached on the left so sorted row i carries unit vector e_i,
-    identity tail rows are appended, and an all-ones row plus matching first
-    column are prepended when the first row is not already all ones.
-    """
+def _sorted_words(c: BlockCode) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The code matrix with its rows lex-sorted descending, and the source
+    index of each sorted row."""
     sorted_code, perm = lex_sort_desc_with_perm(c)
-    n, m = sorted_code.size, sorted_code.word_length
+    return sorted_code.matrix, perm
+
+
+def _extend(words: np.ndarray) -> np.ndarray:
+    n, m = words.shape
     block = np.zeros((n + m, n + m), dtype=np.uint8)
     block[:n, :n] = np.eye(n, dtype=np.uint8)
-    block[:n, n:] = sorted_code.matrix
+    block[:n, n:] = words
     block[n:, n:] = np.eye(m, dtype=np.uint8)
-    prepend = not bool(block[0].all())
-    if prepend:
-        p = n + m + 1
-        full = np.zeros((p, p), dtype=np.uint8)
+    if not block[0].all():
+        full = np.zeros((n + m + 1, n + m + 1), dtype=np.uint8)
         full[0, :] = 1
         full[1:, 1:] = block
         block = full
-    rows = tuple(Codeword(tuple(int(b) for b in row)) for row in block)
-    return ExtendedMatrix(
-        rows=rows,
-        prepended_theta=prepend,
-        source_dims=(n, m),
-        sort_permutation=perm,
-    )
+    block.setflags(write=False)
+    return block
+
+
+def extend_matrix(c: BlockCode) -> np.ndarray:
+    """Square upper-triangular extension of a code matrix, as a read-only
+    uint8 array.
+
+    The code is lex-sorted descending, an identity prefix is attached on
+    the left so sorted row i carries unit vector e_i, identity tail rows are
+    appended, and an all-ones row plus matching first column are prepended
+    when the first row is not already all ones.  The result has n + m rows,
+    or n + m + 1 when the all-ones row was prepended.
+    """
+    return _extend(_sorted_words(c)[0])
+
+
+def _star_algebra(rows: np.ndarray, labels: tuple[str, ...]) -> OpTable:
+    """The algebra on distinct rows whose first row is all ones: x*y is
+    theta = 0 when row x is dominated-below row y and x otherwise."""
+    return OpTable(table=star_from_order(domination_leq(rows)), kind=STAR, labels=labels)
 
 
 def _embedding_labels(size: int) -> tuple[str, ...]:
@@ -59,29 +69,20 @@ def embed_code(c: BlockCode) -> Embedding:
     """Compose matrix extension, domination order and the order-to-table
     constructor.  The resulting star table always satisfies the BCK axioms
     plus positive implicativity, and its dual the Hilbert axioms."""
-    matrix = extend_matrix(c)
-    n, m = matrix.source_dims
-    poset = code_poset(matrix.as_code(), adjoin_theta=False)
-    algebra = poset_to_bck(poset)
-    size = matrix.dimension
-    algebra = replace(algebra, labels=_embedding_labels(size))
-    offset = 1 if matrix.prepended_theta else 0
-    perm = matrix.sort_permutation
-    origins = []
-    for i in range(size):
-        if i == 0 and matrix.prepended_theta:
-            origins.append("theta")
-        elif i - offset < n:
-            origins.append(f"code_row:{perm[i - offset]}")
-        else:
-            origins.append(f"tail_row:{i - offset - n}")
+    words, perm = _sorted_words(c)
+    n, m = words.shape
+    rows = _extend(words)
+    size = len(rows)
+    offset = size - n - m
+    origins = ("theta",) * offset + tuple(f"code_row:{i}" for i in perm)
+    origins += tuple(f"tail_row:{k}" for k in range(m))
     return Embedding(
         source=c,
-        matrix=matrix,
-        algebra=algebra,
-        origins=tuple(origins),
+        matrix=rows,
+        algebra=_star_algebra(rows, _embedding_labels(size)),
+        origins=origins,
         code_row_elements=tuple(range(offset, offset + n)),
-        tail_elements=tuple(range(offset + n, offset + n + m)),
+        tail_elements=tuple(range(offset + n, size)),
         sort_permutation=perm,
     )
 
@@ -90,26 +91,16 @@ def direct_algebra(c: BlockCode) -> Embedding:
     """Use the codewords themselves as the carrier: sort, adjoin the
     all-ones word as theta when missing, and read the table off the
     domination order.  No tail elements."""
-    sorted_code, perm = lex_sort_desc_with_perm(c)
-    ones = Codeword.ones(c.word_length)
-    adjoined = ones not in sorted_code.words
-    poset = code_poset(sorted_code, adjoin_theta=True)
-    algebra = poset_to_bck(poset)
-    size = algebra.n
-    algebra = replace(algebra, labels=_direct_labels(size))
-    origins = ["theta"]
-    if adjoined:
-        origins += [f"code_row:{perm[k]}" for k in range(sorted_code.size)]
-        code_row_elements = tuple(range(1, size))
-    else:
-        origins += [f"code_row:{perm[k]}" for k in range(1, sorted_code.size)]
-        code_row_elements = tuple(range(size))
+    words, perm = _sorted_words(c)
+    offset = 0 if words[0].all() else 1
+    rows = np.vstack([np.ones((offset, words.shape[1]), dtype=np.uint8), words])
+    size = len(rows)
     return Embedding(
         source=c,
         matrix=None,
-        algebra=algebra,
-        origins=tuple(origins),
-        code_row_elements=code_row_elements,
+        algebra=_star_algebra(rows, _direct_labels(size)),
+        origins=("theta",) + tuple(f"code_row:{i}" for i in perm[1 - offset :]),
+        code_row_elements=tuple(range(offset, size)),
         tail_elements=(),
         sort_permutation=perm,
     )
@@ -118,9 +109,10 @@ def direct_algebra(c: BlockCode) -> Embedding:
 def tail_set_check(e: Embedding) -> tuple[Filter, bool, tuple[int, int] | None]:
     """Check (rather than assert) whether theta plus the tail elements form
     a filter in the dual algebra; returns the set, the verdict and the first
-    violating pair when the verdict is false."""
+    violating pair when the verdict is false.  The dual of an embedded
+    table is a Hilbert algebra by construction, so it is not re-verified."""
     if not e.tail_elements:
         raise UsageError("embedding has no tail elements (direct-mode input)")
     members = frozenset({e.algebra.theta}) | frozenset(e.tail_elements)
-    ok, witness = is_filter(dualize(e.algebra), members)
+    ok, witness = _closure_witness(dualize(e.algebra), members)
     return Filter(members=members), ok, witness

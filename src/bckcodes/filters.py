@@ -9,7 +9,9 @@ pass over row a.
 """
 from __future__ import annotations
 
-from .algebra import dualize, verify_axioms
+import sys
+
+from .algebra import dualize, require_axioms
 from .errors import UsageError
 from .model import DOT, STAR, ClassificationReport, Filter, OpTable
 
@@ -20,10 +22,7 @@ ENUMERATION_WARN_SIZE = 16
 def _require_hilbert(h: OpTable) -> None:
     if h.kind != DOT:
         raise UsageError("filters are defined on dot tables; dualize the star table first")
-    rep = verify_axioms(h, "hilbert")
-    if not rep.passed:
-        axiom, witness = rep.violations[0]
-        raise UsageError(f"table is not a Hilbert algebra (axiom {axiom} fails at {witness})")
+    require_axioms(h, "hilbert")
 
 
 def _pytable(h: OpTable) -> tuple[tuple[int, ...], ...]:
@@ -56,7 +55,11 @@ def is_filter(h: OpTable, s) -> tuple[bool, tuple[int, int] | None]:
     """Whether s contains theta and is deductively closed; on failure the
     witness is the first violating pair in index order."""
     _require_hilbert(h)
-    members = _check_members(h, s)
+    return _closure_witness(h, _check_members(h, s))
+
+
+def _closure_witness(h: OpTable, members: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
+    """`is_filter` on a table known to be a Hilbert algebra."""
     if h.theta not in members:
         return False, None
     rows = _pytable(h)
@@ -88,8 +91,10 @@ def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
     proper filter by each element outside it.  Every filter is reached,
     since it is the growth of a smaller filter inside it by one of its
     elements; a proper filter is maximal exactly when every such growth is
-    the carrier.
+    the carrier.  Warns on stderr past ENUMERATION_WARN_SIZE elements.
     """
+    if h.n > ENUMERATION_WARN_SIZE:
+        print(f"warning: enumerating filters of a {h.n}-element algebra may be slow", file=sys.stderr)
     rows = _pytable(h)
     carrier = (1 << h.n) - 1
     base = 1 << h.theta
@@ -128,13 +133,6 @@ def all_filters(h: OpTable) -> list[Filter]:
     Output order: cardinality, then bitmask value.
     """
     _require_hilbert(h)
-    if h.n > ENUMERATION_WARN_SIZE:
-        import sys
-
-        print(
-            f"warning: enumerating filters of a {h.n}-element algebra may be slow",
-            file=sys.stderr,
-        )
     return [Filter(members=_mask_to_set(m, h.n)) for m in _enumerate_masks(h)[0]]
 
 

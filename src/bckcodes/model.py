@@ -251,16 +251,6 @@ class Filter:
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
 
-    @property
-    def bitmask(self) -> int:
-        return sum(1 << i for i in self.members)
-
-    def sort_key(self) -> tuple[int, int]:
-        return (len(self.members), self.bitmask)
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -280,64 +270,19 @@ class ClassificationReport:
 
 
 @dataclass(frozen=True, eq=False)
-class ExtendedMatrix:
-    """A square 0/1 matrix extending a code matrix: identity column prefix,
-    identity tail rows, and an optional prepended all-ones row."""
-
-    rows: tuple[Codeword, ...]
-    prepended_theta: bool
-    source_dims: tuple[int, int]
-    sort_permutation: tuple[int, ...]
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        p = len(rows)
-        if p < 1 or any(w.length != p for w in rows):
-            raise UsageError("extended matrix must be square")
-        if len(set(rows)) != p:
-            raise UsageError("extended matrix rows must be distinct")
-        arr = np.array([w.bits for w in rows], dtype=np.uint8)
-        if np.tril(arr, -1).any():
-            raise UsageError("extended matrix must be upper triangular")
-        if not arr.diagonal().all():
-            raise UsageError("extended matrix must have unit diagonal")
-        n, m = self.source_dims
-        expected = n + m + (1 if self.prepended_theta else 0)
-        if p != expected:
-            raise UsageError(f"extended matrix dimension {p} does not match source dims {self.source_dims}")
-        if self.prepended_theta:
-            if not all(arr[0] == 1):
-                raise UsageError("prepended first row must be all ones")
-            if arr[1:, 0].any():
-                raise UsageError("prepended first column must be zero below the first row")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "sort_permutation", tuple(self.sort_permutation))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([w.bits for w in self.rows], dtype=np.uint8)
-
-    def as_code(self) -> BlockCode:
-        return BlockCode(self.rows)
-
-
-@dataclass(frozen=True, eq=False)
 class Embedding:
     """A code together with the algebra built on top of it.
 
     `origins[i]` tags element i as "theta", "code_row:<source index>" or
     "tail_row:<tail index>".  `code_row_elements` lists the elements carrying
     the lex-sorted source codewords, in sorted order; `tail_elements` lists
-    the identity tail rows (empty in direct mode, where the codewords
-    themselves are the carrier and `matrix` is None).
+    the identity tail rows.  `matrix` is the read-only extended 0/1 matrix
+    whose rows are the elements.  In direct mode the codewords themselves
+    are the carrier: no tail elements, and `matrix` is None.
     """
 
     source: BlockCode
-    matrix: ExtendedMatrix | None
+    matrix: np.ndarray | None
     algebra: OpTable
     origins: tuple[str, ...]
     code_row_elements: tuple[int, ...]

@@ -26,7 +26,7 @@ def compare_codewords(v: Codeword, w: Codeword) -> Comparison:
 
 def lex_sort_desc(c: BlockCode) -> BlockCode:
     """Words in descending bitstring order ('1' > '0', left to right)."""
-    return BlockCode(tuple(sorted(c.words, key=lambda w: w.bits, reverse=True)))
+    return lex_sort_desc_with_perm(c)[0]
 
 
 def lex_sort_desc_with_perm(c: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
@@ -36,11 +36,25 @@ def lex_sort_desc_with_perm(c: BlockCode) -> tuple[BlockCode, tuple[int, ...]]:
     return BlockCode(tuple(c.words[i] for i in order)), tuple(order)
 
 
-def domination_leq(rows: np.ndarray) -> np.ndarray:
-    """leq[i, j] says row i is dominated-below row j (row j's support is
-    contained in row i's)."""
-    r = np.asarray(rows, dtype=np.uint8)
-    return (r[None, :, :] <= r[:, None, :]).all(axis=2)
+def domination_leq(rows) -> np.ndarray:
+    """leq[..., i, j] says row i is dominated-below row j: row j's support
+    is contained in row i's.  Leading axes of `rows` are a batch.
+
+    Rows are bit-packed along the word axis and compared one packed byte
+    column at a time, so memory stays at one boolean per pair of rows.
+    """
+    packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=-1)
+    leq = np.ones(packed.shape[:-1] + packed.shape[-2:-1], dtype=bool)
+    for k in range(packed.shape[-1]):
+        col = packed[..., k]
+        leq &= (col[..., None, :] & ~col[..., :, None]) == 0
+    return leq
+
+
+def star_from_order(leq: np.ndarray, theta: int = 0) -> np.ndarray:
+    """The star table of an order with least element theta: x*y is theta
+    when x <= y and x otherwise."""
+    return np.where(leq, theta, np.arange(len(leq))[:, None])
 
 
 def code_poset(c: BlockCode, adjoin_theta: bool = True) -> Poset:
@@ -73,9 +87,7 @@ def poset_to_bck(p: Poset) -> OpTable:
     when x <= y and x otherwise."""
     if p.least is None:
         raise UsageError("poset has no least element; cannot build a star table")
-    n = p.n
-    idx = np.arange(n, dtype=np.int64)
-    table = np.where(p.leq, np.int64(p.least), idx[:, None])
+    table = star_from_order(p.leq, p.least)
     return OpTable(table=table, kind=STAR, theta=p.least, labels=p.labels)
 
 

@@ -136,6 +136,25 @@ class TestClassifyAndFilters:
         assert payload["filters"][0]["labels"] == ["θ", "a", "b"]
 
 
+    def test_enumeration_warns_once_per_command_on_17_chain(self, capsys, tmp_path):
+        code_path, alg = tmp_path / "chain17.code", tmp_path / "chain17.alg"
+        rc, out, _ = run(capsys, "family", "--kind", "local", "--n", "17", "--bits", "1" * 105)
+        assert rc == 0
+        code_path.write_text(out, encoding="utf-8")
+        assert run(capsys, "build", "--mode", "direct", "--out", str(alg), str(code_path))[0] == 0
+        warning = "warning: enumerating filters of a 17-element algebra may be slow\n"
+        first_lines = {
+            ("filters", "--all"): "filters: 17",
+            ("filters", "--maximal"): "maximal filters: 1",
+            ("classify",): "n: 17",
+        }
+        for argv, first in first_lines.items():
+            rc, out, err = run(capsys, *argv, str(alg))
+            assert rc == 0
+            assert err == warning
+            assert out.splitlines()[0] == first
+
+
 class TestPropsDualIso:
     def test_props(self, capsys):
         code, out, _ = run(capsys, "props", fx("local5_star.alg"))
@@ -169,6 +188,13 @@ class TestPropsDualIso:
         code, out, _ = run(capsys, "iso", str(chain), str(anti))
         assert code == 1
         assert "isomorphic: no" in out
+
+    def test_iso_rejects_invalid_table(self, capsys, tmp_path):
+        bad = tmp_path / "bad.alg"
+        bad.write_text("kind star\nn 2\ntheta 0\n1 0\n1 0\n", encoding="utf-8")
+        code, out, err = run(capsys, "iso", str(bad), fx("local5_star.alg"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: table is not a BCK-algebra (axiom ")
 
 
 class TestCutRoundtripFamily:
@@ -330,6 +356,17 @@ class TestErrorsAndExitCodes:
     def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
         argv = ["bckcodes", "census", "--n", "5", "--sample", "3", "--seed", "-1"]
         monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bits", ["a", " 1"])
+    def test_non_binary_free_bits_are_a_usage_error(self, capsys, monkeypatch, bits):
+        monkeypatch.setattr(sys, "argv", ["bckcodes", "family", "--kind", "local", "--n", "4", "--bits", bits])
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == 2

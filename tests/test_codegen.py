@@ -60,6 +60,27 @@ class TestCutCode:
         with pytest.raises(UsageError):
             cut_code(embed9.algebra, CutSpec(row_elements=(99,), col_elements=(0,)))
 
+    def test_against_plain_loop_with_repeats(self):
+        rng = np.random.default_rng(17)
+        collided = 0
+        for code in random_codes(30, seed=8):
+            alg = embed_code(code).algebra
+            rows = tuple(int(v) for v in rng.integers(0, alg.n, size=int(rng.integers(1, 2 * alg.n))))
+            cols = tuple(int(v) for v in rng.integers(0, alg.n, size=int(rng.integers(1, alg.n + 1))))
+            result = cut_code(alg, CutSpec(row_elements=rows, col_elements=cols))
+            words = ["".join("1" if alg.table[r][x] == alg.theta else "0" for x in cols) for r in rows]
+            first, collisions = {}, []
+            for pos, word in enumerate(words):
+                if word in first:
+                    collisions.append((first[word], pos))
+                else:
+                    first[word] = pos
+            assert [str(w) for w in result.words] == words
+            assert result.collisions == tuple(collisions)
+            assert result.code.strings() == tuple(first)
+            collided += bool(collisions)
+        assert collided > 10
+
 
 class TestRoundtrip:
     def test_embed9(self):
@@ -382,6 +403,25 @@ class TestCensusForm:
     )
     def test_symmetric_posets_on_eight_elements(self, covers):
         self.check([_induced(_poset_leq(9, covers))], seed=len(covers))
+
+
+class TestConstructionMemory:
+    @pytest.mark.parametrize("build", [embed_code, roundtrip_check])
+    def test_n201_stays_under_4mb(self, build):
+        # one (n, n, n) domination tensor alone is 8 MB at n = 201
+        rng = np.random.default_rng(100)
+        words = set()
+        while len(words) < 100:
+            words.add("".join(str(int(b)) for b in rng.integers(0, 2, size=100)))
+        code = BlockCode.from_strings(sorted(words))
+        assert embed_code(code).algebra.n == 201
+        tracemalloc.start()
+        try:
+            build(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestCensusMemory:

@@ -33,43 +33,50 @@ from golden import (
 )
 
 
+def row_strings(arr):
+    return ["".join(str(b) for b in row) for row in arr.tolist()]
+
+
 class TestExtendMatrix:
     def test_embed9_rows(self):
-        matrix = extend_matrix(BlockCode.from_strings(EMBED9_CODE))
-        assert [str(r) for r in matrix.rows] == EMBED9_ROWS
-        assert matrix.prepended_theta
-        assert matrix.source_dims == (4, 4)
-        assert matrix.dimension == 9
+        arr = extend_matrix(BlockCode.from_strings(EMBED9_CODE))
+        assert arr.dtype == np.uint8 and not arr.flags.writeable
+        assert row_strings(arr) == EMBED9_ROWS
+        assert arr.shape == (9, 9)  # 4 + 4 + the prepended theta row
 
     def test_two_word_code_hand_trace(self):
-        matrix = extend_matrix(BlockCode.from_strings(["10", "01"]))
-        assert [str(r) for r in matrix.rows] == ["11111", "01010", "00101", "00010", "00001"]
-        assert matrix.prepended_theta
+        arr = extend_matrix(BlockCode.from_strings(["10", "01"]))
+        assert row_strings(arr) == ["11111", "01010", "00101", "00010", "00001"]
+        assert arr.shape == (5, 5)  # 2 + 2 + the prepended theta row
 
     def test_single_ones_word_no_prepension(self):
-        matrix = extend_matrix(BlockCode.from_strings(["1"]))
-        assert [str(r) for r in matrix.rows] == ["11", "01"]
-        assert not matrix.prepended_theta
+        arr = extend_matrix(BlockCode.from_strings(["1"]))
+        assert row_strings(arr) == ["11", "01"]
+        assert arr.shape == (2, 2)  # n + m: the code row is already all ones
 
     def test_structure_invariants_random(self):
         for code in random_codes(40, seed=3):
-            matrix = extend_matrix(code)
-            arr = matrix.matrix
-            n, m = matrix.source_dims
-            assert arr.shape[0] == n + m + (1 if matrix.prepended_theta else 0)
+            arr = extend_matrix(code)
+            n, m = code.size, code.word_length
+            # the first sorted row e_0 + w is all ones only for the code {1...1}
+            prepended = not (n == 1 and all(code.words[0].bits))
+            assert arr.shape == (n + m + prepended,) * 2
+            assert arr[0].all()
+            if prepended:
+                assert not arr[1:, 0].any()
             assert not np.tril(arr, -1).any()
             assert arr.diagonal().all()
-            assert len({tuple(r) for r in arr}) == arr.shape[0]
+            assert len({tuple(r) for r in arr.tolist()}) == arr.shape[0]
+            assert np.array_equal(embed_code(code).matrix, arr)
 
     def test_code_rows_carry_source_words(self):
         for code in random_codes(40, seed=4):
-            matrix = extend_matrix(code)
-            n, m = matrix.source_dims
-            offset = 1 if matrix.prepended_theta else 0
+            arr = extend_matrix(code)
+            n, m = code.size, code.word_length
+            offset = len(arr) - n - m
             sorted_words = sorted((w.bits for w in code.words), reverse=True)
             for i in range(n):
-                row = matrix.rows[offset + i].bits
-                assert row[-m:] == tuple(sorted_words[i])
+                assert tuple(arr[offset + i, -m:].tolist()) == sorted_words[i]
 
 
 class TestEmbedCode:
@@ -89,7 +96,7 @@ class TestEmbedCode:
 
     def test_zero_word_gives_antichain(self):
         emb = embed_code(BlockCode.from_strings(["00"]))
-        assert [str(r) for r in emb.matrix.rows] == ["1111", "0100", "0010", "0001"]
+        assert row_strings(emb.matrix) == ["1111", "0100", "0010", "0001"]
         assert np.array_equal(emb.algebra.table, SEMI4_STAR)
 
     def test_always_valid_and_positive_implicative(self):

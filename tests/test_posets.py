@@ -17,6 +17,7 @@ from bckcodes import (
     poset_to_bck,
     verify_axioms,
 )
+from bckcodes import codegen
 from bckcodes.model import Poset
 from bckcodes.posets import domination_leq, lex_sort_desc_with_perm
 
@@ -79,6 +80,33 @@ class TestCompareCodewords:
         # agreement with the vectorized matrix construction
         rows = np.array([word.bits for word in words], dtype=np.uint8)
         assert np.array_equal(leq, domination_leq(rows))
+
+
+def loop_leq(rows) -> np.ndarray:
+    """Oracle: leq[i, j] is all(r[j] <= r[i]) over the bit positions."""
+    rows = rows.tolist()
+    return np.array([[all(b <= a for a, b in zip(ri, rj)) for rj in rows] for ri in rows], dtype=bool)
+
+
+class TestDominationLeq:
+    @pytest.mark.parametrize("m", [1, 3, 7, 8, 9, 13, 17, 30])
+    def test_seeded_codes_against_loop(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            rows = rng.integers(0, 2, size=(int(rng.integers(1, 25)), m), dtype=np.uint8)
+            got = domination_leq(rows)
+            assert got.dtype == bool
+            assert np.array_equal(got, loop_leq(rows))
+
+    def test_batch_of_census_family_matrices(self):
+        n = 7
+        free = (n - 1) * (n - 2) // 2
+        bits = np.random.default_rng(5).integers(0, 2, size=(40, free), dtype=np.uint8)
+        mats = codegen._matrices_from_bits(n, bits)
+        got = domination_leq(mats)
+        assert got.shape == (40, n, n)
+        for mat, leq in zip(mats, got):
+            assert np.array_equal(leq, loop_leq(mat))
 
 
 class TestLexSortDesc:
