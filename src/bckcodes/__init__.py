@@ -38,8 +38,6 @@ from .model import (
     BlockCode,
     CensusReport,
     ClassificationReport,
-    Codeword,
-    Comparison,
     CutResult,
     CutSpec,
     Embedding,
@@ -50,21 +48,13 @@ from .model import (
     PropertyFlags,
     RoundtripReport,
 )
-from .posets import (
-    code_poset,
-    compare_codewords,
-    hasse_covers,
-    lex_sort_desc,
-    poset_to_bck,
-)
+from .posets import hasse_covers
 
 __all__ = [
     "AxiomReport",
     "BlockCode",
     "CensusReport",
     "ClassificationReport",
-    "Codeword",
-    "Comparison",
     "CutResult",
     "CutSpec",
     "DOT",
@@ -85,8 +75,6 @@ __all__ = [
     "bck_properties",
     "census",
     "classify",
-    "code_poset",
-    "compare_codewords",
     "cut_code",
     "direct_algebra",
     "dualize",
@@ -95,13 +83,11 @@ __all__ = [
     "generated_filter",
     "hasse_covers",
     "is_filter",
-    "lex_sort_desc",
     "local_family",
     "local_family_free_bit_count",
     "maximal_filters",
     "parse_algebra_file",
     "parse_code_file",
-    "poset_to_bck",
     "refine_colors",
     "roundtrip_check",
     "semisimple_family",

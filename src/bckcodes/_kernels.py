@@ -1,9 +1,9 @@
 """Axiom and property scans, in numpy.
 
-Each scan returns an int64 array of shape (k, 4), one row [found, w0, w1, w2]
-per checked law, padded with -1; a witness is the first violation in
-lexicographic (x, y, z) order.  The n^3 checks build one n x n slice per x
-and stop at the first x with a violation, so memory stays O(n^2).
+Each scan returns one witness per checked law, in law order: the first
+violation in lexicographic (x, y, z) order as a tuple of ints, or None.
+The n^3 checks build one n x n slice per x and stop at the first x with a
+violation, so memory stays O(n^2).
 """
 from __future__ import annotations
 
@@ -36,19 +36,7 @@ def _first_over_x(n: int, violations) -> tuple[int, int, int] | None:
     return None
 
 
-def _pack(rows: list[tuple[int, ...] | None], width: int = 4) -> np.ndarray:
-    out = np.full((len(rows), width), -1, dtype=np.int64)
-    for k, w in enumerate(rows):
-        if w is None:
-            out[k, 0] = 0
-        else:
-            out[k, 0] = 1
-            for p, v in enumerate(w):
-                out[k, 1 + p] = v
-    return out
-
-
-def bck_axiom_scan(table, theta: int) -> np.ndarray:
+def bck_axiom_scan(table, theta: int) -> tuple:
     t = _as_table(table)
     n = t.shape[0]
     idx = np.arange(n)
@@ -65,10 +53,10 @@ def bck_axiom_scan(table, theta: int) -> np.ndarray:
     np.fill_diagonal(v4, False)
     # 5: theta*x == theta
     v5 = t[theta] != theta
-    return _pack([w1, _first(v2), _first(v3), _first(v4), _first(v5)])
+    return w1, _first(v2), _first(v3), _first(v4), _first(v5)
 
 
-def hilbert_axiom_scan(table, theta: int) -> np.ndarray:
+def hilbert_axiom_scan(table, theta: int) -> tuple:
     d = _as_table(table)
     n = d.shape[0]
     idx = np.arange(n)
@@ -79,10 +67,10 @@ def hilbert_axiom_scan(table, theta: int) -> np.ndarray:
     # 3: antisymmetry through theta
     v3 = (d == theta) & (d.T == theta)
     np.fill_diagonal(v3, False)
-    return _pack([_first(v1), w2, _first(v3)])
+    return _first(v1), w2, _first(v3)
 
 
-def bck_property_scan(table, theta: int) -> np.ndarray:
+def bck_property_scan(table, theta: int) -> tuple:
     t = _as_table(table)
     n = t.shape[0]
     idx = np.arange(n)
@@ -93,4 +81,4 @@ def bck_property_scan(table, theta: int) -> np.ndarray:
     v2 = t[idx[:, None], t.T] != idx[:, None]
     # positive implicative: (x*y)*z == (x*z)*(y*z)
     w3 = _first_over_x(n, lambda x: t[t[x, :, None], idx] != t[t[x][None, :], t])
-    return _pack([_first(v1), _first(v2), w3])
+    return _first(v1), _first(v2), w3

@@ -10,21 +10,6 @@ from .model import DOT, STAR, AxiomReport, IsoResult, OpTable, Poset, PropertyFl
 
 KINDS = ("bci", "bck", "hilbert")
 
-_WITNESS_ARITY = {
-    "bci": {1: 3, 2: 2, 3: 1, 4: 2},
-    "bck": {1: 3, 2: 2, 3: 1, 4: 2, 5: 1},
-    "hilbert": {1: 2, 2: 3, 3: 2},
-}
-
-
-def _report_from_scan(kind: str, scan: np.ndarray) -> AxiomReport:
-    violations = []
-    for axiom, arity in _WITNESS_ARITY[kind].items():
-        row = scan[axiom - 1]
-        if row[0]:
-            violations.append((axiom, tuple(int(v) for v in row[1 : 1 + arity])))
-    return AxiomReport(kind_checked=kind, violations=tuple(violations))
-
 
 def verify_axioms(t: OpTable, kind: str) -> AxiomReport:
     """Exhaustively check every axiom instance of the requested kind.
@@ -45,7 +30,8 @@ def verify_axioms(t: OpTable, kind: str) -> AxiomReport:
         scan = _kernels.bck_axiom_scan(t.table, t.theta)
         if kind == "bci":
             scan = scan[:4]
-    return _report_from_scan(kind, scan)
+    violations = tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
+    return AxiomReport(kind_checked=kind, violations=violations)
 
 
 def require_axioms(t: OpTable, kind: str) -> None:
@@ -62,24 +48,21 @@ def bck_properties(t: OpTable) -> PropertyFlags:
     """Commutativity, implicativity and positive implicativity of a valid
     BCK star table, with first counterexamples for the failures."""
     require_axioms(t, "bck")
-    scan = _kernels.bck_property_scan(t.table, t.theta)
-    witnesses = []
-    for row, arity in zip(scan, (2, 2, 3)):
-        witnesses.append(tuple(int(v) for v in row[1 : 1 + arity]) if row[0] else None)
+    comm, impl, pos = _kernels.bck_property_scan(t.table, t.theta)
     return PropertyFlags(
-        commutative=witnesses[0] is None,
-        implicative=witnesses[1] is None,
-        positive_implicative=witnesses[2] is None,
-        commutative_witness=witnesses[0],
-        implicative_witness=witnesses[1],
-        positive_implicative_witness=witnesses[2],
+        commutative=comm is None,
+        implicative=impl is None,
+        positive_implicative=pos is None,
+        commutative_witness=comm,
+        implicative_witness=impl,
+        positive_implicative_witness=pos,
     )
 
 
 def dualize(t: OpTable) -> OpTable:
     """Transpose the table and toggle its orientation; theta and labels
     carry over.  Involution."""
-    return OpTable(table=t.table.T.copy(), kind=DOT if t.kind == STAR else STAR,
+    return OpTable(table=t.table.T, kind=DOT if t.kind == STAR else STAR,
                    theta=t.theta, labels=t.labels)
 
 

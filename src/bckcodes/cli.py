@@ -17,12 +17,12 @@ from pathlib import Path
 
 from .algebra import are_isomorphic, bck_order, bck_properties, dualize, verify_axioms
 from .codegen import census, cut_code, local_family, local_family_free_bit_count, roundtrip_check, semisimple_family
-from .embedding import direct_algebra, embed_code, tail_set_check
+from .embedding import carrier_rows, direct_algebra, embed_code, tail_set_check
 from .errors import FormatError, IntegrityError, UsageError
 from .fileio import parse_algebra_file, parse_code_file, serialize_algebra, serialize_code, sniff_format
 from .filters import all_filters, classify, maximal_filters
-from .model import DOT, STAR, CutSpec, OpTable
-from .posets import code_poset, hasse_covers, lex_sort_desc
+from .model import DOT, STAR, CutSpec, OpTable, Poset, row_strings
+from .posets import domination_leq, hasse_covers
 
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
@@ -35,6 +35,17 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write to `path`, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_algebra(path: str) -> OpTable:
@@ -114,11 +125,7 @@ def _cmd_build(args) -> int:
                 f"# tail set {_set_str(members.members, t)}: NOT a filter in the dual algebra "
                 f"(witness {_witness_str(witness, t)})"
             )
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -200,11 +207,7 @@ def _cmd_dual(args) -> int:
             }
         )
         return 0
-    out = serialize_algebra(d)
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _write_text(args.out, serialize_algebra(d))
     return 0
 
 
@@ -292,7 +295,7 @@ def _cmd_cut(args) -> int:
                 "command": "cut",
                 "rows": list(spec.row_elements),
                 "cols": list(spec.col_elements),
-                "words": [str(w) for w in result.words],
+                "words": list(result.words),
                 "collisions": [list(c) for c in result.collisions],
                 "code": list(result.code.strings()),
             }
@@ -314,7 +317,7 @@ def _cmd_roundtrip(args) -> int:
                 "command": "roundtrip",
                 "ok": report.ok,
                 "expected": list(report.expected.strings()),
-                "recovered": [str(w) for w in report.recovered],
+                "recovered": list(report.recovered),
                 "first_mismatch": report.first_mismatch,
             }
         )
@@ -324,7 +327,7 @@ def _cmd_roundtrip(args) -> int:
         i = report.first_mismatch
         print(
             f"roundtrip: FAILED at word {i}: got {report.recovered[i]}, "
-            f"expected {report.expected.words[i]}"
+            f"expected {report.expected.strings()[i]}"
         )
     return 0 if report.ok else 1
 
@@ -398,8 +401,8 @@ def _cmd_hasse(args) -> int:
             t = dualize(t)
         poset = bck_order(t)
     else:
-        code = lex_sort_desc(parse_code_file(text))
-        poset = code_poset(code, adjoin_theta=True)
+        rows = carrier_rows(parse_code_file(text))[0]
+        poset = Poset(leq=domination_leq(rows), least=0, labels=row_strings(rows))
     covers = hasse_covers(poset)
     if args.json:
         _emit_json(
@@ -419,7 +422,8 @@ def _cmd_hasse(args) -> int:
     print("digraph hasse {")
     print("  rankdir=BT;")
     for i in range(poset.n):
-        print(f'  n{i} [label="{poset.label(i)}"];')
+        label = poset.label(i).replace("\\", "\\\\").replace('"', '\\"')
+        print(f'  n{i} [label="{label}"];')
     for lo, hi in covers:
         print(f"  n{lo} -> n{hi};")
     print("}")

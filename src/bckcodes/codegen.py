@@ -14,11 +14,11 @@ from .model import (
     STAR,
     BlockCode,
     CensusReport,
-    Codeword,
     CutResult,
     CutSpec,
     OpTable,
     RoundtripReport,
+    row_strings,
 )
 from .posets import domination_leq, star_from_order
 
@@ -27,9 +27,9 @@ CENSUS_SAMPLE_MAX_N = 16
 _BATCH = 4096
 
 
-def _cut_bits(alg: OpTable, rows, cols) -> list[list[int]]:
+def _cut_words(alg: OpTable, rows, cols) -> tuple[str, ...]:
     """Bit (r, x) is 1 exactly when r * x is theta."""
-    return (alg.table[np.ix_(rows, cols)] == alg.theta).astype(np.uint8).tolist()
+    return row_strings(alg.table[np.ix_(rows, cols)] == alg.theta)
 
 
 def cut_code(alg: OpTable, spec: CutSpec) -> CutResult:
@@ -40,17 +40,15 @@ def cut_code(alg: OpTable, spec: CutSpec) -> CutResult:
         raise UsageError("cut rows are read off a star table")
     require_axioms(alg, "bck")
     spec.validate_against(alg.n)
-    words = tuple(Codeword(tuple(bits)) for bits in _cut_bits(alg, spec.row_elements, spec.col_elements))
-    seen: dict[Codeword, int] = {}
-    kept = []
+    words = _cut_words(alg, spec.row_elements, spec.col_elements)
+    first: dict[str, int] = {}
     collisions = []
     for pos, w in enumerate(words):
-        if w in seen:
-            collisions.append((seen[w], pos))
+        if w in first:
+            collisions.append((first[w], pos))
         else:
-            seen[w] = pos
-            kept.append(w)
-    return CutResult(words=words, code=BlockCode(tuple(kept)), collisions=tuple(collisions))
+            first[w] = pos
+    return CutResult(words=words, code=BlockCode.from_strings(first), collisions=tuple(collisions))
 
 
 def roundtrip_check(c: BlockCode) -> RoundtripReport:
@@ -58,11 +56,10 @@ def roundtrip_check(c: BlockCode) -> RoundtripReport:
     compare with the lex-sorted input word for word.  The embedded table is
     a BCK-algebra by construction, so it is not re-verified."""
     emb = embed_code(c)
-    bits = _cut_bits(emb.algebra, emb.code_row_elements, emb.tail_elements)
-    recovered = tuple(Codeword(tuple(row)) for row in bits)
-    expected = BlockCode(tuple(c.words[i] for i in emb.sort_permutation))
+    recovered = _cut_words(emb.algebra, emb.code_row_elements, emb.tail_elements)
+    expected = BlockCode(c.matrix[list(emb.sort_permutation)])
     mismatch = None
-    for i, (got, want) in enumerate(zip(recovered, expected.words)):
+    for i, (got, want) in enumerate(zip(recovered, expected.strings())):
         if got != want:
             mismatch = i
             break
@@ -75,12 +72,9 @@ def semisimple_family(n: int) -> BlockCode:
     with the 1 in positions 2..n.  Lex-descending by construction."""
     if n < 2:
         raise UsageError("the semisimple family needs n >= 2")
-    words = [Codeword.ones(n)]
-    for i in range(1, n):
-        bits = [0] * n
-        bits[i] = 1
-        words.append(Codeword(tuple(bits)))
-    return BlockCode(tuple(words))
+    mat = np.eye(n, dtype=np.uint8)
+    mat[0] = 1
+    return BlockCode(mat)
 
 
 def local_family_free_bit_count(n: int) -> int:
@@ -90,7 +84,9 @@ def local_family_free_bit_count(n: int) -> int:
 def local_family(n: int, free_bits="") -> BlockCode:
     """n words of length n forming an upper-triangular unit-diagonal matrix
     with all-ones first row and all-ones last column; the cells (i, j) with
-    2 <= i < j <= n-1 (1-based) come from `free_bits` in row-major order."""
+    2 <= i < j <= n-1 (1-based) come from `free_bits` in row-major order.
+    Row i leads with its diagonal 1 where every later row is 0, so the rows
+    are lex-descending for every assignment."""
     if n < 2:
         raise UsageError("the local family needs n >= 2")
     if any(str(b) not in ("0", "1") for b in free_bits):
@@ -106,11 +102,7 @@ def local_family(n: int, free_bits="") -> BlockCode:
     mat[:, n - 1] = 1
     for (i, j), b in zip(positions, bits):
         mat[i, j] = b
-    words = [Codeword(tuple(int(v) for v in row)) for row in mat]
-    for a, b in zip(words, words[1:]):
-        if not a.bits > b.bits:
-            raise UsageError("free-bit assignment breaks the lexicographic ordering hypothesis")
-    return BlockCode(tuple(words))
+    return BlockCode(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ from .model import STAR, BlockCode, Embedding, Filter, OpTable
 from .posets import domination_leq, lex_sort_desc_with_perm, star_from_order
 
 
-def _sorted_words(c: BlockCode) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The code matrix with its rows lex-sorted descending, and the source
-    index of each sorted row."""
-    sorted_code, perm = lex_sort_desc_with_perm(c)
-    return sorted_code.matrix, perm
+def carrier_rows(c: BlockCode) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The direct-mode carrier: the code's rows lex-sorted descending, with
+    the all-ones row adjoined first when absent; also the sort permutation."""
+    words, perm = lex_sort_desc_with_perm(c)
+    if words[0].all():
+        return words, perm
+    return np.vstack([np.ones((1, words.shape[1]), dtype=np.uint8), words]), perm
 
 
 def _extend(words: np.ndarray) -> np.ndarray:
@@ -46,7 +48,7 @@ def extend_matrix(c: BlockCode) -> np.ndarray:
     when the first row is not already all ones.  The result has n + m rows,
     or n + m + 1 when the all-ones row was prepended.
     """
-    return _extend(_sorted_words(c)[0])
+    return _extend(lex_sort_desc_with_perm(c)[0])
 
 
 def _star_algebra(rows: np.ndarray, labels: tuple[str, ...]) -> OpTable:
@@ -69,7 +71,7 @@ def embed_code(c: BlockCode) -> Embedding:
     """Compose matrix extension, domination order and the order-to-table
     constructor.  The resulting star table always satisfies the BCK axioms
     plus positive implicativity, and its dual the Hilbert axioms."""
-    words, perm = _sorted_words(c)
+    words, perm = lex_sort_desc_with_perm(c)
     n, m = words.shape
     rows = _extend(words)
     size = len(rows)
@@ -91,10 +93,9 @@ def direct_algebra(c: BlockCode) -> Embedding:
     """Use the codewords themselves as the carrier: sort, adjoin the
     all-ones word as theta when missing, and read the table off the
     domination order.  No tail elements."""
-    words, perm = _sorted_words(c)
-    offset = 0 if words[0].all() else 1
-    rows = np.vstack([np.ones((offset, words.shape[1]), dtype=np.uint8), words])
+    rows, perm = carrier_rows(c)
     size = len(rows)
+    offset = size - c.size
     return Embedding(
         source=c,
         matrix=None,

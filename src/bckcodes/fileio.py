@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FormatError
-from .model import DOT, STAR, BlockCode, Codeword, OpTable
+from .model import DOT, STAR, BlockCode, OpTable
 
 
 def _content_lines(text: str):
@@ -18,7 +18,6 @@ def _content_lines(text: str):
 def parse_code_file(text: str) -> BlockCode:
     """One codeword per non-empty, non-comment line; equal lengths, no
     duplicates."""
-    words = []
     seen = {}
     length = None
     for lineno, line in _content_lines(text):
@@ -35,10 +34,9 @@ def parse_code_file(text: str) -> BlockCode:
                 f"duplicate codeword {line!r} (first seen on line {seen[line]})", line=lineno
             )
         seen[line] = lineno
-        words.append(Codeword.from_string(line))
-    if not words:
+    if not seen:
         raise FormatError("no codewords found")
-    return BlockCode(tuple(words))
+    return BlockCode.from_strings(seen)
 
 
 def serialize_code(code: BlockCode) -> str:

@@ -1,4 +1,4 @@
-"""Domain types: operation tables, posets, codewords, reports.
+"""Domain types: operation tables, posets, block codes, reports.
 
 All values are immutable after construction and validate their own
 invariants, so they can be shared freely across workers.
@@ -6,7 +6,6 @@ invariants, so they can be shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,7 +16,9 @@ DOT = "dot"
 
 
 def _frozen_array(values, dtype):
-    arr = np.ascontiguousarray(values, dtype=dtype)
+    """A read-only C-contiguous copy: the caller's array is neither frozen
+    nor aliased."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -112,80 +113,62 @@ class IsoResult:
     mapping: tuple[int, ...] | None = None
 
 
-class Comparison(Enum):
-    LESS_EQ = "less_eq"
-    GREATER_EQ = "greater_eq"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
+def row_strings(rows) -> tuple[str, ...]:
+    """The rows of a 0/1 matrix as bit strings."""
+    return tuple("".join(map(str, row)) for row in np.asarray(rows, dtype=np.uint8).tolist())
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A fixed-length bit string."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if not bits:
-            raise UsageError("codewords must have positive length")
-        if any(b not in (0, 1) for b in bits):
-            raise UsageError(f"codeword bits must be 0 or 1, got {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Codeword":
-        if not text or any(c not in "01" for c in text):
-            raise UsageError(f"codeword string must be non-empty over {{0,1}}, got {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def ones(cls, length: int) -> "Codeword":
-        return cls((1,) * length)
-
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockCode:
-    """An ordered collection of distinct codewords of equal length."""
+    """An ordered collection of distinct equal-length codewords: the rows of
+    one read-only n-by-m uint8 0/1 matrix."""
 
-    words: tuple[Codeword, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        words = tuple(self.words)
-        if not words:
+        try:
+            values = np.asarray(self.matrix)
+        except ValueError:
+            raise UsageError("all codewords in a block code must share one length") from None
+        if values.ndim == 0 or len(values) == 0:
             raise UsageError("a block code needs at least one codeword")
-        m = words[0].length
-        if any(w.length != m for w in words):
-            raise UsageError("all codewords in a block code must share one length")
-        if len(set(words)) != len(words):
+        if values.ndim != 2:
+            raise UsageError(f"a block code is an n-by-m matrix, got shape {values.shape}")
+        if values.shape[1] == 0:
+            raise UsageError("codewords must have positive length")
+        bad = (values != 0) & (values != 1)
+        if bad.any():
+            row = values[int(bad.any(axis=1).argmax())]
+            raise UsageError(f"codeword bits must be 0 or 1, got {tuple(row.tolist())}")
+        arr = _frozen_array(values, np.uint8)
+        if len(np.unique(arr, axis=0)) != len(arr):
             raise UsageError("block code contains duplicate codewords")
-        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "matrix", arr)
 
     @classmethod
     def from_strings(cls, texts) -> "BlockCode":
-        return cls(tuple(Codeword.from_string(t) for t in texts))
+        rows = []
+        for text in texts:
+            if not text or any(c not in "01" for c in text):
+                raise UsageError(f"codeword string must be non-empty over {{0,1}}, got {text!r}")
+            rows.append([int(c) for c in text])
+        return cls(rows)
 
     @property
     def word_length(self) -> int:
-        return self.words[0].length
+        return self.matrix.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.words)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([w.bits for w in self.words], dtype=np.uint8)
+        return self.matrix.shape[0]
 
     def strings(self) -> tuple[str, ...]:
-        return tuple(str(w) for w in self.words)
+        return row_strings(self.matrix)
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockCode):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +313,7 @@ class CutResult:
     identical; `code` keeps first occurrences in row order.
     """
 
-    words: tuple[Codeword, ...]
+    words: tuple[str, ...]
     code: BlockCode
     collisions: tuple[tuple[int, int], ...]
 
@@ -339,7 +322,7 @@ class CutResult:
 class RoundtripReport:
     ok: bool
     expected: BlockCode
-    recovered: tuple[Codeword, ...]
+    recovered: tuple[str, ...]
     first_mismatch: int | None
 
 

@@ -1,5 +1,5 @@
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,17 @@ def fixture_text(name: str) -> str:
 
 def star_table(rows, labels=None) -> OpTable:
     return OpTable(table=np.array(rows, dtype=np.int64), kind=STAR, labels=labels)
+
+
+def all_words(length: int) -> np.ndarray:
+    """Every 0/1 word of the given length, one per row, all-ones last."""
+    return np.array(list(product((0, 1), repeat=length)), dtype=np.uint8)
+
+
+def loop_leq(rows) -> np.ndarray:
+    """Oracle: leq[i, j] is all(r[j] <= r[i]) over the bit positions."""
+    rows = np.asarray(rows).tolist()
+    return np.array([[all(b <= a for a, b in zip(ri, rj)) for rj in rows] for ri in rows], dtype=bool)
 
 
 def brute_filters(dot_table: np.ndarray, theta: int = 0) -> list[frozenset]:

@@ -9,7 +9,6 @@ the literal claim on record.  See notes on the element swap (w3 w4)(w8 w9),
 which is an automorphism of the algebra, for why no isomorphism-invariant
 filter notion can accept exactly the six published sets.
 """
-import itertools
 import time
 
 import numpy as np
@@ -17,11 +16,8 @@ import pytest
 
 from bckcodes import (
     BlockCode,
-    Codeword,
-    Comparison,
     CutSpec,
     classify,
-    compare_codewords,
     census,
     cut_code,
     direct_algebra,
@@ -40,7 +36,7 @@ from bckcodes import (
 from bckcodes.cli import run_command
 from bckcodes.posets import domination_leq
 
-from conftest import brute_maximal, posets_up_to_iso, random_codes
+from conftest import all_words, brute_maximal, loop_leq, posets_up_to_iso, random_codes
 from golden import (
     EMBED9_CODE,
     EMBED9_DOT,
@@ -223,7 +219,7 @@ def test_criterion_07_roundtrip():
     res = cut_code(
         emb.algebra, CutSpec(row_elements=emb.code_row_elements, col_elements=emb.tail_elements)
     )
-    assert [str(w) for w in res.words] == ["0011", "0010", "0001", "0000"]
+    assert res.words == ("0011", "0010", "0001", "0000")
     for code in random_codes(200, seed=707):
         assert roundtrip_check(code).ok, code.strings()
     report(7, "cut-row roundtrip", started, "201 codes")
@@ -279,19 +275,10 @@ def test_criterion_09_census(capsys):
 def test_criterion_10_order_oracle():
     started = time.perf_counter()
     for length in range(1, 7):
-        words = [Codeword(bits) for bits in itertools.product((0, 1), repeat=length)]
-        k = len(words)
-        leq = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            for j in range(k):
-                cmp = compare_codewords(words[i], words[j])
-                leq[i, j] = cmp in (Comparison.LESS_EQ, Comparison.EQUAL)
-                if cmp is Comparison.EQUAL:
-                    assert words[i] == words[j]
-        both = leq & leq.T
-        assert np.array_equal(both, np.eye(k, dtype=bool))
+        rows = all_words(length)
+        leq = loop_leq(rows)
+        assert np.array_equal(leq & leq.T, np.eye(len(rows), dtype=bool))
         reach = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
         assert not (reach & ~leq).any()
-        rows = np.array([word.bits for word in words], dtype=np.uint8)
         assert np.array_equal(leq, domination_leq(rows))
     report(10, "codeword order axioms exhaustive length <= 6", started)

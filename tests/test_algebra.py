@@ -15,10 +15,9 @@ from bckcodes import (
     bck_properties,
     dualize,
     embed_code,
-    poset_to_bck,
     verify_axioms,
 )
-from bckcodes.model import Poset
+from bckcodes.posets import star_from_order
 
 from conftest import star_table
 from golden import (
@@ -171,11 +170,11 @@ class TestPropertyWitnesses:
     def test_witnesses_reevaluate_as_violations(self):
         # over every poset-induced table on up to 4 elements, a false flag
         # must come with a witness that violates the defining identity
-        from test_posets import all_posets_with_least
+        from test_posets import all_posets_with_least, poset_table
 
         for n in range(1, 5):
             for poset in all_posets_with_least(n):
-                table = poset_to_bck(poset)
+                table = poset_table(poset)
                 t = table.table
                 flags = bck_properties(table)
                 if not flags.commutative:
@@ -308,7 +307,7 @@ class TestAreIsomorphic:
             closure = leq.copy()
             for k in range(n):
                 closure |= np.outer(closure[:, k], closure[k, :])
-            tables.append(poset_to_bck(Poset(leq=closure, least=0)))
+            tables.append(star_table(star_from_order(closure)))
         for t1 in tables:
             for t2 in tables:
                 r12 = are_isomorphic(t1, t2)

@@ -319,6 +319,21 @@ class TestHasse:
         assert code == 0
         assert out.splitlines() == ["covers:", "11 < 10", "11 < 01"]
 
+    def test_dot_labels_are_escaped(self, capsys, tmp_path):
+        path = tmp_path / "chain.alg"
+        path.write_text(
+            'kind star\nn 3\ntheta 0\nlabels t a"b c\\d\n0 0 0\n1 0 0\n2 2 0\n', encoding="utf-8"
+        )
+        code, out, _ = run(capsys, "hasse", str(path))
+        assert code == 0
+        assert '  n1 [label="a\\"b"];' in out
+        assert '  n2 [label="c\\\\d"];' in out
+        # text and --json print the labels as they are
+        _, out, _ = run(capsys, "hasse", "--format", "text", str(path))
+        assert out.splitlines() == ["covers:", 't < a"b', 'a"b < c\\d']
+        _, out, _ = run(capsys, "hasse", "--json", str(path))
+        assert json.loads(out)["labels"] == ["t", 'a"b', "c\\d"]
+
 
 class TestErrorsAndExitCodes:
     def test_unknown_flag(self, capsys):
@@ -384,6 +399,22 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert out == "" and "not allowed with" in err
         assert not target.exists()
+
+
+    @pytest.mark.parametrize(
+        "command,name", [("build", "local5.code"), ("dual", "local5_star.alg")]
+    )
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, monkeypatch, tmp_path, command, name, target):
+        out_path = tmp_path if target == "directory" else tmp_path / "missing" / "o.alg"
+        monkeypatch.setattr(sys, "argv", ["bckcodes", command, "--out", str(out_path), fx(name)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out_path}: ")
+        assert "Traceback" not in err
 
 
 class TestStdinInput:

@@ -37,21 +37,21 @@ class TestCutCode:
         result = cut_code(
             embed9.algebra, CutSpec(row_elements=(1, 2, 3, 4), col_elements=(5, 6, 7, 8))
         )
-        assert [str(w) for w in result.words] == ["0011", "0010", "0001", "0000"]
+        assert list(result.words) == ["0011", "0010", "0001", "0000"]
         assert result.collisions == ()
 
     def test_theta_row_is_all_ones(self, embed9):
         result = cut_code(
             embed9.algebra, CutSpec(row_elements=(0,), col_elements=(1, 2, 3, 4))
         )
-        assert [str(w) for w in result.words] == ["1111"]
+        assert list(result.words) == ["1111"]
 
     def test_theta_column(self, embed9):
         result = cut_code(
             embed9.algebra,
             CutSpec(row_elements=tuple(range(9)), col_elements=(0,)),
         )
-        assert [str(w) for w in result.words] == ["1"] + ["0"] * 8
+        assert list(result.words) == ["1"] + ["0"] * 8
         # duplicates deduplicated, with collision positions reported
         assert result.code.strings() == ("1", "0")
         assert result.collisions == tuple((1, k) for k in range(2, 9))
@@ -75,7 +75,7 @@ class TestCutCode:
                     collisions.append((first[word], pos))
                 else:
                     first[word] = pos
-            assert [str(w) for w in result.words] == words
+            assert list(result.words) == words
             assert result.collisions == tuple(collisions)
             assert result.code.strings() == tuple(first)
             collided += bool(collisions)
@@ -86,12 +86,12 @@ class TestRoundtrip:
     def test_embed9(self):
         report = roundtrip_check(BlockCode.from_strings(EMBED9_CODE))
         assert report.ok
-        assert [str(w) for w in report.recovered] == ["0011", "0010", "0001", "0000"]
+        assert list(report.recovered) == ["0011", "0010", "0001", "0000"]
 
     def test_single_ones_word(self):
         report = roundtrip_check(BlockCode.from_strings(["1"]))
         assert report.ok
-        assert [str(w) for w in report.recovered] == ["1"]
+        assert list(report.recovered) == ["1"]
 
     def test_random_suite(self):
         for code in random_codes(200, seed=42):

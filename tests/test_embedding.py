@@ -59,7 +59,7 @@ class TestExtendMatrix:
             arr = extend_matrix(code)
             n, m = code.size, code.word_length
             # the first sorted row e_0 + w is all ones only for the code {1...1}
-            prepended = not (n == 1 and all(code.words[0].bits))
+            prepended = not (n == 1 and code.matrix.all())
             assert arr.shape == (n + m + prepended,) * 2
             assert arr[0].all()
             if prepended:
@@ -74,9 +74,8 @@ class TestExtendMatrix:
             arr = extend_matrix(code)
             n, m = code.size, code.word_length
             offset = len(arr) - n - m
-            sorted_words = sorted((w.bits for w in code.words), reverse=True)
-            for i in range(n):
-                assert tuple(arr[offset + i, -m:].tolist()) == sorted_words[i]
+            sorted_words = sorted(code.strings(), reverse=True)
+            assert row_strings(arr[offset : offset + n, -m:]) == sorted_words
 
 
 class TestEmbedCode:
@@ -171,6 +170,6 @@ class TestTailSetCheck:
         for code in random_codes(60, seed=21):
             emb = embed_code(code)
             _, ok, _ = tail_set_check(emb)
-            all_zero = not any(any(w.bits) for w in code.words)
-            ones_carrier = code.size == 1 and all(code.words[0].bits)
+            all_zero = not code.matrix.any()
+            ones_carrier = code.size == 1 and code.matrix.all()
             assert ok == (all_zero or ones_carrier)

@@ -5,23 +5,17 @@ import pytest
 
 from bckcodes import (
     BlockCode,
-    Codeword,
-    Comparison,
-    UsageError,
     bck_order,
     bck_properties,
-    code_poset,
-    compare_codewords,
     hasse_covers,
-    lex_sort_desc,
-    poset_to_bck,
     verify_axioms,
 )
 from bckcodes import codegen
-from bckcodes.model import Poset
-from bckcodes.posets import domination_leq, lex_sort_desc_with_perm
+from bckcodes.embedding import carrier_rows
+from bckcodes.model import Poset, row_strings
+from bckcodes.posets import domination_leq, lex_sort_desc_with_perm, star_from_order
 
-from conftest import star_table
+from conftest import all_words, loop_leq, star_table
 from golden import (
     LOCAL5_CODE,
     LOCAL5_COVERS,
@@ -35,57 +29,44 @@ from golden import (
 CHAIN3 = [[0, 0, 0], [1, 0, 0], [2, 2, 0]]
 
 
-def w(text):
-    return Codeword.from_string(text)
+def code_leq(*texts) -> np.ndarray:
+    return domination_leq(BlockCode.from_strings(texts).matrix)
+
+
+def poset_table(poset: Poset):
+    return star_table(star_from_order(poset.leq))
 
 
 class TestCompareCodewords:
+    """The domination order on codewords, read off `domination_leq`."""
+
     def test_all_ones_below_everything(self):
-        ones = Codeword.ones(6)
-        for bits in itertools.product((0, 1), repeat=6):
-            word = Codeword(bits)
-            expected = Comparison.EQUAL if word == ones else Comparison.LESS_EQ
-            assert compare_codewords(ones, word) is expected
+        leq = domination_leq(all_words(6))
+        ones = len(leq) - 1
+        assert leq[ones].all()
+        assert np.flatnonzero(leq[:, ones]).tolist() == [ones]
 
     def test_embedded_row_pair(self):
         # star table has theta at (w2, w8), so w2's word sits below w8's
-        assert compare_codewords(w("010000011"), w("000000010")) is Comparison.LESS_EQ
+        assert code_leq("010000011", "000000010").tolist() == [[True, True], [False, True]]
 
     def test_incomparable(self):
-        assert compare_codewords(w("0100"), w("0010")) is Comparison.INCOMPARABLE
+        assert code_leq("0100", "0010").tolist() == [[True, False], [False, True]]
 
     def test_greater_eq_and_equal(self):
-        assert compare_codewords(w("0010"), w("1010")) is Comparison.GREATER_EQ
-        assert compare_codewords(w("0110"), w("0110")) is Comparison.EQUAL
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            compare_codewords(w("01"), w("011"))
+        assert code_leq("0010", "1010").tolist() == [[True, False], [True, True]]
+        assert domination_leq(np.array([[0, 1, 1, 0]] * 2)).all()
 
     @pytest.mark.parametrize("length", range(1, 7))
     def test_partial_order_axioms_exhaustive(self, length):
-        words = [Codeword(bits) for bits in itertools.product((0, 1), repeat=length)]
-        k = len(words)
-        leq = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            for j in range(k):
-                cmp = compare_codewords(words[i], words[j])
-                leq[i, j] = cmp in (Comparison.LESS_EQ, Comparison.EQUAL)
-        # antisymmetry: LESS_EQ and GREATER_EQ together only when EQUAL
-        both = leq & leq.T
-        assert np.array_equal(both, np.eye(k, dtype=bool))
+        rows = all_words(length)
+        leq = loop_leq(rows)
+        # antisymmetry: mutual domination only on the diagonal
+        assert np.array_equal(leq & leq.T, np.eye(len(rows), dtype=bool))
         # transitivity over all triples via boolean reachability
         reach = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
         assert not (reach & ~leq).any()
-        # agreement with the vectorized matrix construction
-        rows = np.array([word.bits for word in words], dtype=np.uint8)
         assert np.array_equal(leq, domination_leq(rows))
-
-
-def loop_leq(rows) -> np.ndarray:
-    """Oracle: leq[i, j] is all(r[j] <= r[i]) over the bit positions."""
-    rows = rows.tolist()
-    return np.array([[all(b <= a for a, b in zip(ri, rj)) for rj in rows] for ri in rows], dtype=bool)
 
 
 class TestDominationLeq:
@@ -109,68 +90,80 @@ class TestDominationLeq:
             assert np.array_equal(leq, loop_leq(mat))
 
 
+def sorted_strings(code: BlockCode) -> tuple[str, ...]:
+    return row_strings(lex_sort_desc_with_perm(code)[0])
+
+
 class TestLexSortDesc:
     def test_embed9_input(self):
         code = BlockCode.from_strings(["0000", "0001", "0010", "0011"])
-        assert lex_sort_desc(code).strings() == ("0011", "0010", "0001", "0000")
+        assert sorted_strings(code) == ("0011", "0010", "0001", "0000")
 
     def test_sorted_input_unchanged(self):
         code = BlockCode.from_strings(LOCAL5_CODE)
-        assert lex_sort_desc(code).strings() == tuple(LOCAL5_CODE)
+        assert sorted_strings(code) == tuple(LOCAL5_CODE)
 
     def test_singleton(self):
         code = BlockCode.from_strings(["1"])
-        assert lex_sort_desc(code).strings() == ("1",)
+        assert sorted_strings(code) == ("1",)
 
     def test_permutation_recorded(self):
         code = BlockCode.from_strings(["0011", "1100", "0110"])
-        sorted_code, perm = lex_sort_desc_with_perm(code)
-        assert sorted_code.strings() == ("1100", "0110", "0011")
+        rows, perm = lex_sort_desc_with_perm(code)
+        assert row_strings(rows) == ("1100", "0110", "0011")
         assert perm == (1, 2, 0)
-        assert tuple(code.words[i] for i in perm) == sorted_code.words
+        assert np.array_equal(code.matrix[list(perm)], rows)
+
+    @pytest.mark.parametrize("m", [1, 8, 9, 70])
+    def test_matches_sorted_strings(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            rows = np.unique(rng.integers(0, 2, size=(int(rng.integers(1, 40)), m)), axis=0)
+            code = BlockCode(rng.permutation(rows))
+            strings = code.strings()
+            expected = sorted(range(code.size), key=strings.__getitem__, reverse=True)
+            assert lex_sort_desc_with_perm(code)[1] == tuple(expected)
 
 
 class TestCodePoset:
+    """The domination order on a code, over the carrier rows that
+    `direct_algebra` and `hasse` share."""
+
     def test_local5(self):
-        poset = code_poset(BlockCode.from_strings(LOCAL5_CODE), adjoin_theta=False)
-        strict = {(i, j) for i in range(5) for j in range(5) if i != j and poset.leq[i, j]}
+        rows, _ = carrier_rows(BlockCode.from_strings(LOCAL5_CODE))
+        leq = domination_leq(rows)
+        strict = {(i, j) for i in range(5) for j in range(5) if i != j and leq[i, j]}
         assert strict == LOCAL5_ORDER
-        assert poset.least == 0
-        assert poset.labels == tuple(LOCAL5_CODE)
+        assert leq[0].all()
+        assert row_strings(rows) == tuple(LOCAL5_CODE)
 
     def test_semi4_antichain(self):
-        poset = code_poset(BlockCode.from_strings(SEMI4_CODE), adjoin_theta=False)
+        leq = domination_leq(carrier_rows(BlockCode.from_strings(SEMI4_CODE))[0])
         for i, j in itertools.permutations(range(1, 4), 2):
-            assert not poset.leq[i, j]
+            assert not leq[i, j]
 
     def test_adjoin_theta(self):
-        poset = code_poset(BlockCode.from_strings(["01", "10"]), adjoin_theta=True)
-        assert poset.n == 3
-        assert poset.labels[0] == "11"
-        assert not poset.leq[1, 2] and not poset.leq[2, 1]
-
-    def test_missing_theta_rejected(self):
-        with pytest.raises(UsageError):
-            code_poset(BlockCode.from_strings(["01", "10"]), adjoin_theta=False)
+        rows, perm = carrier_rows(BlockCode.from_strings(["01", "10"]))
+        assert row_strings(rows) == ("11", "10", "01")
+        assert perm == (1, 0)
+        leq = domination_leq(rows)
+        assert not leq[1, 2] and not leq[2, 1]
 
 
 class TestPosetToBck:
+    """`star_from_order`: theta when x <= y, x otherwise."""
+
     def test_local5_table(self):
-        poset = code_poset(BlockCode.from_strings(LOCAL5_CODE), adjoin_theta=False)
-        assert np.array_equal(poset_to_bck(poset).table, LOCAL5_STAR)
+        leq = domination_leq(BlockCode.from_strings(LOCAL5_CODE).matrix)
+        assert np.array_equal(star_from_order(leq), LOCAL5_STAR)
 
     def test_two_chain(self):
-        poset = Poset(leq=np.array([[True, True], [False, True]]), least=0)
-        assert np.array_equal(poset_to_bck(poset).table, [[0, 0], [1, 0]])
+        leq = np.array([[True, True], [False, True]])
+        assert np.array_equal(star_from_order(leq), [[0, 0], [1, 0]])
 
     def test_semi4_table(self):
-        poset = code_poset(BlockCode.from_strings(SEMI4_CODE), adjoin_theta=False)
-        assert np.array_equal(poset_to_bck(poset).table, SEMI4_STAR)
-
-    def test_missing_least_rejected(self):
-        poset = Poset(leq=np.eye(2, dtype=bool))
-        with pytest.raises(UsageError):
-            poset_to_bck(poset)
+        leq = domination_leq(BlockCode.from_strings(SEMI4_CODE).matrix)
+        assert np.array_equal(star_from_order(leq), SEMI4_STAR)
 
 
 def all_posets_with_least(n):
@@ -196,7 +189,7 @@ class TestRelationConstructorProperties:
     def test_all_posets_yield_positive_implicative_bck(self, n):
         count = 0
         for poset in all_posets_with_least(n):
-            table = poset_to_bck(poset)
+            table = poset_table(poset)
             assert verify_axioms(table, "bck").passed
             assert bck_properties(table).positive_implicative
             count += 1
@@ -205,12 +198,12 @@ class TestRelationConstructorProperties:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_order_roundtrip(self, n):
         for poset in all_posets_with_least(n):
-            assert bck_order(poset_to_bck(poset)) == poset
+            assert bck_order(poset_table(poset)) == poset
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_noncommutative_iff_nontrivial_relation(self, n):
         for poset in all_posets_with_least(n):
-            flags = bck_properties(poset_to_bck(poset))
+            flags = bck_properties(poset_table(poset))
             strict = poset.leq & ~np.eye(n, dtype=bool)
             has_inner_relation = strict[1:, :].any()
             if has_inner_relation:
