@@ -469,3 +469,227 @@ class TestConsoleEntryPoint:
         proc.stderr.close()
         assert proc.wait() == 141
         assert err == ""  # in particular no Traceback
+
+
+def pinned(payload) -> str:
+    """The exact bytes of a `--json` report: indent 2, labels unescaped."""
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def alg_file(tmp_path, text: str) -> str:
+    path = tmp_path / "probe.alg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# x*y = max(x - y, 0) on {0, 1, 2}: commutative, not implicative, not
+# positive implicative
+TRUNCATED_SUBTRACTION = "kind star\nn 3\ntheta 0\n0 0 0\n1 0 0\n2 1 0\n"
+
+
+class TestJsonReports:
+    """Whole `--json` reports, byte for byte."""
+
+    def test_verify_pass(self, capsys):
+        code, out, err = run(capsys, "verify", "--kind", "bck", "--json", fx("local5_star.alg"))
+        assert (code, err) == (0, "")
+        assert out == pinned(
+            {"command": "verify", "kind": "bck", "n": 5, "passed": True, "violations": []}
+        )
+
+    def test_verify_one_corrupted_cell(self, capsys, tmp_path):
+        path = alg_file(tmp_path, "kind star\nn 2\ntheta 0\n0 0\n1 1\n")
+        code, out, _ = run(capsys, "verify", "--kind", "bck", "--json", path)
+        assert code == 1
+        assert out == pinned(
+            {
+                "command": "verify",
+                "kind": "bck",
+                "n": 2,
+                "passed": False,
+                "violations": [
+                    {"axiom": 1, "witness": [1, 0, 0]},
+                    {"axiom": 2, "witness": [1, 0]},
+                    {"axiom": 3, "witness": [1]},
+                ],
+            }
+        )
+
+    def test_props_local5(self, capsys):
+        code, out, _ = run(capsys, "props", "--json", fx("local5_star.alg"))
+        assert code == 0
+        assert out == pinned(
+            {
+                "command": "props",
+                "n": 5,
+                "commutative": {"holds": False, "witness": [1, 3]},
+                "implicative": {"holds": False, "witness": [1, 3]},
+                "positive_implicative": {"holds": True, "witness": None},
+            }
+        )
+
+    def test_props_truncated_subtraction(self, capsys, tmp_path):
+        path = alg_file(tmp_path, TRUNCATED_SUBTRACTION)
+        code, out, _ = run(capsys, "props", "--json", path)
+        assert code == 0
+        assert out == pinned(
+            {
+                "command": "props",
+                "n": 3,
+                "commutative": {"holds": True, "witness": None},
+                "implicative": {"holds": False, "witness": [1, 2]},
+                "positive_implicative": {"holds": False, "witness": [2, 1, 1]},
+            }
+        )
+        code, out, _ = run(capsys, "props", path)
+        assert code == 0
+        assert out.splitlines() == [
+            "n: 3",
+            "commutative: yes",
+            "implicative: no (witness x=1, y=2)",
+            "positive implicative: no (witness x=2, y=1, z=1)",
+        ]
+
+    def test_dual_labelled(self, capsys):
+        code, out, _ = run(capsys, "dual", "--json", fx("local5_star.alg"))
+        assert code == 0
+        assert out == pinned(
+            {
+                "command": "dual",
+                "kind": "dot",
+                "n": 5,
+                "theta": 0,
+                "labels": ["θ", "a", "b", "c", "d"],
+                "table": [
+                    [0, 1, 2, 3, 4],
+                    [0, 0, 2, 3, 4],
+                    [0, 1, 0, 3, 4],
+                    [0, 0, 0, 0, 4],
+                    [0, 0, 0, 0, 0],
+                ],
+            }
+        )
+
+    def test_cut_with_two_collisions(self, capsys):
+        code, out, _ = run(
+            capsys, "cut", "--rows", "1,2,1", "--cols", "5,6", "--json", fx("embed9_star.alg")
+        )
+        assert code == 0
+        assert out == pinned(
+            {
+                "command": "cut",
+                "rows": [1, 2, 1],
+                "cols": [5, 6],
+                "words": ["00", "00", "00"],
+                "collisions": [[0, 1], [0, 2]],
+                "code": ["00"],
+            }
+        )
+
+    def test_roundtrip(self, capsys):
+        code, out, _ = run(capsys, "roundtrip", "--json", fx("embed9.code"))
+        assert code == 0
+        words = ["0011", "0010", "0001", "0000"]
+        assert out == pinned(
+            {
+                "command": "roundtrip",
+                "ok": True,
+                "expected": words,
+                "recovered": words,
+                "first_mismatch": None,
+            }
+        )
+
+    def test_family_local(self, capsys):
+        code, out, _ = run(capsys, "family", "--kind", "local", "--n", "5", "--bits", "011", "--json")
+        assert code == 0
+        assert out == pinned(
+            {
+                "command": "family",
+                "kind": "local",
+                "n": 5,
+                "bits": "011",
+                "words": ["11111", "01011", "00111", "00011", "00001"],
+            }
+        )
+
+    def test_iso_yes(self, capsys):
+        code, out, _ = run(capsys, "iso", "--json", fx("local5_star.alg"), fx("local5_star.alg"))
+        assert code == 0
+        assert out == pinned({"command": "iso", "isomorphic": True, "mapping": [0, 1, 2, 3, 4]})
+
+    def test_iso_no(self, capsys):
+        code, out, _ = run(
+            capsys, "iso", "--json", fx("local5_star.alg"), fx("semisimple4_star.alg")
+        )
+        assert code == 1
+        assert out == pinned({"command": "iso", "isomorphic": False, "mapping": None})
+
+
+class TestOneElementAndOrderErrors:
+    def test_classify_degenerate_text(self, capsys, tmp_path):
+        path = alg_file(tmp_path, "kind star\nn 1\ntheta 0\n0\n")
+        code, out, err = run(capsys, "classify", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "n: 1",
+            "filters: 1",
+            "degenerate: single-element algebra, no proper filters",
+            "local: n/a",
+            "semisimple: n/a",
+        ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "kind star\nn 3\ntheta 0\n0 0 0\n1 0 0\n2 0 0\n",
+                "relation is not antisymmetric: 1 <= 2 and 2 <= 1",
+            ),
+            ("kind star\nn 2\ntheta 0\n0 1\n1 0\n", "element 0 is not below every element"),
+        ],
+        ids=["not-antisymmetric", "theta-not-least"],
+    )
+    def test_hasse_on_a_non_order(self, capsys, tmp_path, text, message):
+        code, out, err = run(capsys, "hasse", alg_file(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert err == f"error: table does not induce a partial order: {message}\n"
+
+    def test_hasse_dualizes_dot_input(self, capsys, tmp_path):
+        path = alg_file(tmp_path, "kind dot\nn 2\ntheta 0\n0 1\n0 0\n")
+        code, out, _ = run(capsys, "hasse", "--format", "text", path)
+        assert code == 0
+        assert out.splitlines() == ["covers:", "0 < 1"]
+
+
+class TestAlgebraFormatErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind circle\nn 1\ntheta 0\n0\n", "line 1: kind must be 'star' or 'dot'"),
+            ("kind star\nn two\ntheta 0\n0\n", "line 2: n must be a positive integer"),
+            ("kind star\nn 0\ntheta 0\n0\n", "line 2: n must be a positive integer"),
+            ("kind star\nn 1\ntheta t\n0\n", "line 3: theta must be an element index"),
+            ("kind star\ntheta 0\n0\n", "line 3: table rows before an 'n' header"),
+            ("kind star\nn 2\ntheta 0\n0 x\n1 0\n", "line 4: non-integer table entry in '0 x'"),
+            ("kind star\nn 2\ntheta 0\n0\n1 0\n", "line 4: expected 2 entries per row, got 1"),
+            ("kind star\nn 1\ntheta 0\n0\n0\n", "line 5: more than 1 table rows"),
+            ("kind star\ntheta 0\n", "missing 'n' header"),
+            ("kind star\nn 1\n0\n", "missing 'theta' header"),
+            ("kind star\nn 1\ntheta 1\n0\n", "theta index 1 out of range [0, 1)"),
+            ("kind star\nn 2\ntheta 0\nlabels a\n0 0\n1 0\n", "expected 2 labels, got 1"),
+        ],
+        ids=[
+            "bad-kind", "n-non-integer", "n-zero", "theta-non-integer", "rows-before-n",
+            "non-integer-entry", "short-row", "too-many-rows", "n-missing", "theta-missing",
+            "theta-out-of-range", "label-count",
+        ],
+    )
+    def test_one_error_line(self, capsys, monkeypatch, tmp_path, text, message):
+        monkeypatch.setattr(sys, "argv", ["bckcodes", "verify", "--kind", "bck", alg_file(tmp_path, text)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
