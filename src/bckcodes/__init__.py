@@ -23,7 +23,7 @@ from .codegen import (
     semisimple_family,
 )
 from .embedding import direct_algebra, embed_code, extend_matrix, tail_set_check
-from .errors import FormatError, IntegrityError, UsageError
+from .errors import FormatError, UsageError
 from .fileio import (
     parse_algebra_file,
     parse_code_file,
@@ -39,13 +39,9 @@ from .model import (
     CensusReport,
     ClassificationReport,
     CutResult,
-    CutSpec,
     Embedding,
-    Filter,
-    IsoResult,
     OpTable,
     Poset,
-    PropertyFlags,
     RoundtripReport,
 )
 from .posets import hasse_covers
@@ -56,16 +52,11 @@ __all__ = [
     "CensusReport",
     "ClassificationReport",
     "CutResult",
-    "CutSpec",
     "DOT",
     "Embedding",
-    "Filter",
     "FormatError",
-    "IntegrityError",
-    "IsoResult",
     "OpTable",
     "Poset",
-    "PropertyFlags",
     "RoundtripReport",
     "STAR",
     "UsageError",

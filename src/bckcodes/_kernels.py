@@ -1,6 +1,7 @@
 """Axiom and property scans, in numpy.
 
-Each scan returns one witness per checked law, in law order: the first
+Each scan takes a square table whose distinguished element theta is 0 and
+returns one witness per checked law, in law order: the first
 violation in lexicographic (x, y, z) order as a tuple of ints, or None.
 The n^3 checks build one n x n slice per x and stop at the first x with a
 violation, so memory stays O(n^2).
@@ -36,41 +37,41 @@ def _first_over_x(n: int, violations) -> tuple[int, int, int] | None:
     return None
 
 
-def bck_axiom_scan(table, theta: int) -> tuple:
+def bck_axiom_scan(table) -> tuple:
     t = _as_table(table)
     n = t.shape[0]
     idx = np.arange(n)
     tt = np.ascontiguousarray(t.T)
-    # 1: ((x*y)*(x*z))*(z*y) == theta
-    w1 = _first_over_x(n, lambda x: t[t[t[x, :, None], t[x, None, :]], tt] != theta)
-    # 2: (x*(x*y))*y == theta
+    # 1: ((x*y)*(x*z))*(z*y) == 0
+    w1 = _first_over_x(n, lambda x: t[t[t[x, :, None], t[x, None, :]], tt] != 0)
+    # 2: (x*(x*y))*y == 0
     inner = t[idx[:, None], t]                   # inner[x,y] = t[x, t[x,y]]
-    v2 = t[inner, idx[None, :]] != theta
-    # 3: x*x == theta
-    v3 = t.diagonal() != theta
-    # 4: x*y == theta and y*x == theta imply x == y
-    v4 = (t == theta) & (tt == theta)
+    v2 = t[inner, idx[None, :]] != 0
+    # 3: x*x == 0
+    v3 = t.diagonal() != 0
+    # 4: x*y == 0 and y*x == 0 imply x == y
+    v4 = (t == 0) & (tt == 0)
     np.fill_diagonal(v4, False)
-    # 5: theta*x == theta
-    v5 = t[theta] != theta
+    # 5: 0*x == 0
+    v5 = t[0] != 0
     return w1, _first(v2), _first(v3), _first(v4), _first(v5)
 
 
-def hilbert_axiom_scan(table, theta: int) -> tuple:
+def hilbert_axiom_scan(table) -> tuple:
     d = _as_table(table)
     n = d.shape[0]
     idx = np.arange(n)
-    # 1: x*(y*x) == theta
-    v1 = d[idx[:, None], d.T] != theta
-    # 2: (x*(y*z)) * ((x*y)*(x*z)) == theta
-    w2 = _first_over_x(n, lambda x: d[d[x][d], d[d[x, :, None], d[x, None, :]]] != theta)
+    # 1: x*(y*x) == 0
+    v1 = d[idx[:, None], d.T] != 0
+    # 2: (x*(y*z)) * ((x*y)*(x*z)) == 0
+    w2 = _first_over_x(n, lambda x: d[d[x][d], d[d[x, :, None], d[x, None, :]]] != 0)
     # 3: antisymmetry through theta
-    v3 = (d == theta) & (d.T == theta)
+    v3 = (d == 0) & (d.T == 0)
     np.fill_diagonal(v3, False)
     return _first(v1), w2, _first(v3)
 
 
-def bck_property_scan(table, theta: int) -> tuple:
+def bck_property_scan(table) -> tuple:
     t = _as_table(table)
     n = t.shape[0]
     idx = np.arange(n)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import IntegrityError, UsageError
-from .model import DOT, STAR, AxiomReport, IsoResult, OpTable, Poset, PropertyFlags
+from .errors import UsageError
+from .model import DOT, STAR, AxiomReport, OpTable, Poset
 
 KINDS = ("bci", "bck", "hilbert")
 
@@ -25,13 +25,13 @@ def verify_axioms(t: OpTable, kind: str) -> AxiomReport:
     if kind == "hilbert" and t.kind != DOT:
         raise UsageError(f"hilbert axioms apply to dot tables, got a {t.kind} table")
     if kind == "hilbert":
-        scan = _kernels.hilbert_axiom_scan(t.table, t.theta)
+        scan = _kernels.hilbert_axiom_scan(t.table)
     else:
-        scan = _kernels.bck_axiom_scan(t.table, t.theta)
+        scan = _kernels.bck_axiom_scan(t.table)
         if kind == "bci":
             scan = scan[:4]
     violations = tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
-    return AxiomReport(kind_checked=kind, violations=violations)
+    return AxiomReport(violations=violations)
 
 
 def require_axioms(t: OpTable, kind: str) -> None:
@@ -44,40 +44,39 @@ def require_axioms(t: OpTable, kind: str) -> None:
         raise UsageError(f"table is not {name} (axiom {axiom} fails at {witness})")
 
 
-def bck_properties(t: OpTable) -> PropertyFlags:
+PROPERTIES = ("commutative", "implicative", "positive_implicative")
+
+
+def bck_properties(t: OpTable) -> dict[str, tuple[int, ...] | None]:
     """Commutativity, implicativity and positive implicativity of a valid
-    BCK star table, with first counterexamples for the failures."""
+    BCK star table: property name -> first counterexample, or None when the
+    property holds."""
     require_axioms(t, "bck")
-    comm, impl, pos = _kernels.bck_property_scan(t.table, t.theta)
-    return PropertyFlags(
-        commutative=comm is None,
-        implicative=impl is None,
-        positive_implicative=pos is None,
-        commutative_witness=comm,
-        implicative_witness=impl,
-        positive_implicative_witness=pos,
-    )
+    return dict(zip(PROPERTIES, _kernels.bck_property_scan(t.table)))
 
 
 def dualize(t: OpTable) -> OpTable:
-    """Transpose the table and toggle its orientation; theta and labels
-    carry over.  Involution."""
-    return OpTable(table=t.table.T, kind=DOT if t.kind == STAR else STAR,
-                   theta=t.theta, labels=t.labels)
+    """Transpose the table and toggle its orientation; labels carry over.
+    Involution."""
+    return OpTable(table=t.table.T, kind=DOT if t.kind == STAR else STAR, labels=t.labels)
 
 
 def bck_order(t: OpTable) -> Poset:
-    """The partial order x <= y iff x*y = theta of a BCK star table."""
+    """The partial order x <= y iff x*y = theta of a BCK star table, with
+    theta = 0 below every element."""
     if t.kind != STAR:
         raise UsageError("bck_order needs a star table")
-    leq = t.table == t.theta
+    problem = "table does not induce a partial order"
     try:
-        return Poset(leq=leq, least=t.theta, labels=t.labels)
+        poset = Poset(leq=t.table == 0, labels=t.labels)
     except UsageError as exc:
-        raise IntegrityError(f"table does not induce a partial order: {exc}") from exc
+        raise UsageError(f"{problem}: {exc}") from None
+    if not poset.leq[0].all():
+        raise UsageError(f"{problem}: element 0 is not below every element")
+    return poset
 
 
-def refine_colors(table: np.ndarray, theta: int) -> list[int]:
+def refine_colors(table: np.ndarray) -> list[int]:
     """Iterated partition refinement: invariant color per element.
 
     Colors start from (is theta, #y with x∘y=theta, #y with y∘x=theta) and
@@ -87,9 +86,9 @@ def refine_colors(table: np.ndarray, theta: int) -> list[int]:
     """
     t = np.asarray(table)
     n = t.shape[0]
-    row_theta = (t == theta).sum(axis=1)
-    col_theta = (t == theta).sum(axis=0)
-    sig = [(int(x == theta), int(row_theta[x]), int(col_theta[x])) for x in range(n)]
+    row_theta = (t == 0).sum(axis=1)
+    col_theta = (t == 0).sum(axis=0)
+    sig = [(int(x == 0), int(row_theta[x]), int(col_theta[x])) for x in range(n)]
     colors = _canonical_ids(sig)
     for _ in range(n):
         sig = [
@@ -111,8 +110,9 @@ def _canonical_ids(signatures) -> list[int]:
     return [order[sig] for sig in signatures]
 
 
-def are_isomorphic(t1: OpTable, t2: OpTable) -> IsoResult:
-    """Search for a theta-fixing isomorphism by backtracking.
+def are_isomorphic(t1: OpTable, t2: OpTable) -> tuple[int, ...] | None:
+    """Search for a theta-fixing isomorphism by backtracking: the mapping
+    (entry x is the image of element x), or None when there is none.
 
     Candidates are pruned by refined partition colors and tried in index
     order, so the returned mapping is deterministic.
@@ -123,19 +123,17 @@ def are_isomorphic(t1: OpTable, t2: OpTable) -> IsoResult:
         require_axioms(t, "hilbert" if t.kind == DOT else "bck")
     n = t1.n
     if n != t2.n:
-        return IsoResult(isomorphic=False)
+        return None
 
     a, b = t1.table, t2.table
-    colors1 = refine_colors(a, t1.theta)
-    colors2 = refine_colors(b, t2.theta)
+    colors1 = refine_colors(a)
+    colors2 = refine_colors(b)
     if sorted(colors1) != sorted(colors2):
-        return IsoResult(isomorphic=False)
+        return None
 
-    mapping = [-1] * n
-    used = [False] * n
-    mapping[t1.theta] = t2.theta
-    used[t2.theta] = True
-    order = [x for x in range(n) if x != t1.theta]
+    mapping = [0] + [-1] * (n - 1)
+    used = [True] + [False] * (n - 1)
+    order = range(1, n)
 
     def consistent(x: int, y: int) -> bool:
         for z in range(n):
@@ -173,6 +171,4 @@ def are_isomorphic(t1: OpTable, t2: OpTable) -> IsoResult:
             used[y] = False
         return False
 
-    if extend(0):
-        return IsoResult(isomorphic=True, mapping=tuple(mapping))
-    return IsoResult(isomorphic=False)
+    return tuple(mapping) if extend(0) else None

@@ -18,10 +18,10 @@ from pathlib import Path
 from .algebra import are_isomorphic, bck_order, bck_properties, dualize, verify_axioms
 from .codegen import census, cut_code, local_family, local_family_free_bit_count, roundtrip_check, semisimple_family
 from .embedding import carrier_rows, direct_algebra, embed_code, tail_set_check
-from .errors import FormatError, IntegrityError, UsageError
+from .errors import UsageError
 from .fileio import parse_algebra_file, parse_code_file, serialize_algebra, serialize_code, sniff_format
 from .filters import all_filters, classify, maximal_filters
-from .model import DOT, STAR, CutSpec, OpTable, Poset, row_strings
+from .model import DOT, STAR, OpTable, Poset, row_strings
 from .posets import domination_leq, hasse_covers
 
 EXIT_INTERNAL = 3
@@ -65,10 +65,6 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, ensure_ascii=False, indent=2))
 
 
-def _table_lists(t: OpTable) -> list[list[int]]:
-    return [[int(v) for v in row] for row in t.table]
-
-
 def _filter_json(members, t: OpTable) -> dict:
     idx = sorted(members)
     return {"members": idx, "labels": [t.label(i) for i in idx]}
@@ -90,10 +86,10 @@ def _cmd_build(args) -> int:
             "mode": args.mode,
             "n": emb.algebra.n,
             "kind": emb.algebra.kind,
-            "theta": emb.algebra.theta,
+            "theta": 0,
             "labels": list(emb.algebra.labels),
-            "table": _table_lists(emb.algebra),
-            "dual_table": _table_lists(dualize(emb.algebra)),
+            "table": emb.algebra.table.tolist(),
+            "dual_table": dualize(emb.algebra).table.tolist(),
             "origins": list(emb.origins),
             "code_row_elements": list(emb.code_row_elements),
             "tail_elements": list(emb.tail_elements),
@@ -101,7 +97,7 @@ def _cmd_build(args) -> int:
             "tail_set": None
             if tail is None
             else {
-                "members": sorted(tail[0].members),
+                "members": sorted(tail[0]),
                 "is_filter": tail[1],
                 "witness": list(tail[2]) if tail[2] is not None else None,
             },
@@ -119,10 +115,10 @@ def _cmd_build(args) -> int:
         members, ok, witness = tail
         lines.append(f"# tail elements: {' '.join(t.label(i) for i in emb.tail_elements)}")
         if ok:
-            lines.append(f"# tail set {_set_str(members.members, t)}: a filter in the dual algebra")
+            lines.append(f"# tail set {_set_str(members, t)}: a filter in the dual algebra")
         else:
             lines.append(
-                f"# tail set {_set_str(members.members, t)}: NOT a filter in the dual algebra "
+                f"# tail set {_set_str(members, t)}: NOT a filter in the dual algebra "
                 f"(witness {_witness_str(witness, t)})"
             )
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -156,39 +152,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_props(args) -> int:
     t = _load_algebra(args.algfile)
-    flags = bck_properties(t)
+    payload = {"command": "props", "n": t.n}
+    lines = [f"n: {t.n}"]
+    for name, witness in bck_properties(t).items():
+        holds = witness is None
+        payload[name] = {"holds": holds, "witness": None if holds else list(witness)}
+        verdict = "yes" if holds else f"no (witness {_witness_str(witness, t)})"
+        lines.append(f"{name.replace('_', ' ')}: {verdict}")
     if args.json:
-        _emit_json(
-            {
-                "command": "props",
-                "n": t.n,
-                "commutative": {
-                    "holds": flags.commutative,
-                    "witness": list(flags.commutative_witness) if flags.commutative_witness else None,
-                },
-                "implicative": {
-                    "holds": flags.implicative,
-                    "witness": list(flags.implicative_witness) if flags.implicative_witness else None,
-                },
-                "positive_implicative": {
-                    "holds": flags.positive_implicative,
-                    "witness": list(flags.positive_implicative_witness)
-                    if flags.positive_implicative_witness
-                    else None,
-                },
-            }
-        )
-        return 0
-    print(f"n: {t.n}")
-    for name, holds, witness in (
-        ("commutative", flags.commutative, flags.commutative_witness),
-        ("implicative", flags.implicative, flags.implicative_witness),
-        ("positive implicative", flags.positive_implicative, flags.positive_implicative_witness),
-    ):
-        if holds:
-            print(f"{name}: yes")
-        else:
-            print(f"{name}: no (witness {_witness_str(witness, t)})")
+        _emit_json(payload)
+    else:
+        print("\n".join(lines))
     return 0
 
 
@@ -201,9 +175,9 @@ def _cmd_dual(args) -> int:
                 "command": "dual",
                 "kind": d.kind,
                 "n": d.n,
-                "theta": d.theta,
+                "theta": 0,
                 "labels": list(d.labels) if d.labels else None,
-                "table": _table_lists(d),
+                "table": d.table.tolist(),
             }
         )
         return 0
@@ -211,13 +185,9 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _as_dot_table(t: OpTable) -> OpTable:
-    return dualize(t) if t.kind == STAR else t
-
-
 def _cmd_filters(args) -> int:
     t = _load_algebra(args.algfile)
-    h = _as_dot_table(t)
+    h = dualize(t) if t.kind == STAR else t
     if args.maximal:
         found = maximal_filters(h)
         title = "maximal filters"
@@ -231,35 +201,34 @@ def _cmd_filters(args) -> int:
                 "n": h.n,
                 "selection": "maximal" if args.maximal else "all",
                 "count": len(found),
-                "filters": [_filter_json(f.members, h) for f in found],
+                "filters": [_filter_json(f, h) for f in found],
             }
         )
         return 0
     print(f"{title}: {len(found)}")
     for f in found:
-        print(_set_str(f.members, h))
+        print(_set_str(f, h))
     return 0
 
 
 def _cmd_classify(args) -> int:
     t = _load_algebra(args.algfile)
-    report = classify(t, auto_dualize=True)
-    h = _as_dot_table(t)
+    report = classify(t)
     if args.json:
         _emit_json(
             {
                 "command": "classify",
-                "n": h.n,
+                "n": t.n,
                 "degenerate": report.degenerate,
                 "filter_count": report.all_filter_count,
-                "maximal_filters": [_filter_json(f.members, h) for f in report.maximal_filters],
-                "radical": _filter_json(report.radical, h),
+                "maximal_filters": [_filter_json(f, t) for f in report.maximal_filters],
+                "radical": _filter_json(report.radical, t),
                 "local": None if report.degenerate else report.is_local,
                 "semisimple": None if report.degenerate else report.is_semisimple,
             }
         )
         return 0
-    print(f"n: {h.n}")
+    print(f"n: {t.n}")
     print(f"filters: {report.all_filter_count}")
     if report.degenerate:
         print("degenerate: single-element algebra, no proper filters")
@@ -268,8 +237,8 @@ def _cmd_classify(args) -> int:
         return 0
     print(f"maximal filters: {len(report.maximal_filters)}")
     for f in report.maximal_filters:
-        print(f"  {_set_str(f.members, h)}")
-    print(f"radical: {_set_str(report.radical, h)}")
+        print(f"  {_set_str(f, t)}")
+    print(f"radical: {_set_str(report.radical, t)}")
     print(f"local: {'yes' if report.is_local else 'no'}")
     print(f"semisimple: {'yes' if report.is_semisimple else 'no'}")
     return 0
@@ -284,17 +253,15 @@ def _parse_indices(text: str, what: str) -> tuple[int, ...]:
 
 def _cmd_cut(args) -> int:
     t = _load_algebra(args.algfile)
-    spec = CutSpec(
-        row_elements=_parse_indices(args.rows, "rows"),
-        col_elements=_parse_indices(args.cols, "cols"),
-    )
-    result = cut_code(t, spec)
+    rows = _parse_indices(args.rows, "rows")
+    cols = _parse_indices(args.cols, "cols")
+    result = cut_code(t, rows, cols)
     if args.json:
         _emit_json(
             {
                 "command": "cut",
-                "rows": list(spec.row_elements),
-                "cols": list(spec.col_elements),
+                "rows": list(rows),
+                "cols": list(cols),
                 "words": list(result.words),
                 "collisions": [list(c) for c in result.collisions],
                 "code": list(result.code.strings()),
@@ -402,7 +369,7 @@ def _cmd_hasse(args) -> int:
         poset = bck_order(t)
     else:
         rows = carrier_rows(parse_code_file(text))[0]
-        poset = Poset(leq=domination_leq(rows), least=0, labels=row_strings(rows))
+        poset = Poset(leq=domination_leq(rows), labels=row_strings(rows))
     covers = hasse_covers(poset)
     if args.json:
         _emit_json(
@@ -433,24 +400,22 @@ def _cmd_hasse(args) -> int:
 def _cmd_iso(args) -> int:
     t1 = _load_algebra(args.algfile1)
     t2 = _load_algebra(args.algfile2)
-    result = are_isomorphic(t1, t2)
+    mapping = are_isomorphic(t1, t2)
     if args.json:
         _emit_json(
             {
                 "command": "iso",
-                "isomorphic": result.isomorphic,
-                "mapping": list(result.mapping) if result.mapping is not None else None,
+                "isomorphic": mapping is not None,
+                "mapping": list(mapping) if mapping is not None else None,
             }
         )
-    elif result.isomorphic:
+    elif mapping is not None:
         print("isomorphic: yes")
-        pairs = ", ".join(
-            f"{t1.label(i)} -> {t2.label(v)}" for i, v in enumerate(result.mapping)
-        )
+        pairs = ", ".join(f"{t1.label(i)} -> {t2.label(v)}" for i, v in enumerate(mapping))
         print(f"mapping: {pairs}")
     else:
         print("isomorphic: no")
-    return 0 if result.isomorphic else 1
+    return 0 if mapping is not None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +518,7 @@ def run_command(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FormatError, UsageError, IntegrityError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ from .model import (
     BlockCode,
     CensusReport,
     CutResult,
-    CutSpec,
     OpTable,
     RoundtripReport,
     row_strings,
@@ -28,19 +27,24 @@ _BATCH = 4096
 
 
 def _cut_words(alg: OpTable, rows, cols) -> tuple[str, ...]:
-    """Bit (r, x) is 1 exactly when r * x is theta."""
-    return row_strings(alg.table[np.ix_(rows, cols)] == alg.theta)
+    """Bit (r, x) is 1 exactly when r * x is theta = 0."""
+    return row_strings(alg.table[np.ix_(rows, cols)] == 0)
 
 
-def cut_code(alg: OpTable, spec: CutSpec) -> CutResult:
+def cut_code(alg: OpTable, rows, cols) -> CutResult:
     """One codeword per row element: the bit at column element x is 1 exactly
     when row * x is theta.  Duplicate words are kept in the raw list and
     deduplicated (first occurrence wins) when packaging the block code."""
+    rows, cols = tuple(int(i) for i in rows), tuple(int(i) for i in cols)
+    if not rows or not cols:
+        raise UsageError("cut spec needs at least one row and one column element")
     if alg.kind != STAR:
         raise UsageError("cut rows are read off a star table")
     require_axioms(alg, "bck")
-    spec.validate_against(alg.n)
-    words = _cut_words(alg, spec.row_elements, spec.col_elements)
+    for i in rows + cols:
+        if not (0 <= i < alg.n):
+            raise UsageError(f"cut spec element {i} out of range [0, {alg.n})")
+    words = _cut_words(alg, rows, cols)
     first: dict[str, int] = {}
     collisions = []
     for pos, w in enumerate(words):
@@ -299,8 +303,7 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
             bits = _bits_from_indices(np.array([pos], dtype=np.uint64), free)
         else:
             bits = sample_bits[pos : pos + 1]
-        mat = _matrices_from_bits(n, bits)[0]
-        reps.append(tuple("".join(str(int(v)) for v in row) for row in mat))
+        reps.append(row_strings(_matrices_from_bits(n, bits)[0]))
     return CensusReport(
         n=n,
         free_bits=free,

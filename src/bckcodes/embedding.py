@@ -10,7 +10,7 @@ import numpy as np
 from .algebra import dualize
 from .errors import UsageError
 from .filters import _closure_witness
-from .model import STAR, BlockCode, Embedding, Filter, OpTable
+from .model import STAR, BlockCode, Embedding, OpTable
 from .posets import domination_leq, lex_sort_desc_with_perm, star_from_order
 
 
@@ -107,13 +107,13 @@ def direct_algebra(c: BlockCode) -> Embedding:
     )
 
 
-def tail_set_check(e: Embedding) -> tuple[Filter, bool, tuple[int, int] | None]:
+def tail_set_check(e: Embedding) -> tuple[frozenset[int], bool, tuple[int, int] | None]:
     """Check (rather than assert) whether theta plus the tail elements form
     a filter in the dual algebra; returns the set, the verdict and the first
     violating pair when the verdict is false.  The dual of an embedded
     table is a Hilbert algebra by construction, so it is not re-verified."""
     if not e.tail_elements:
         raise UsageError("embedding has no tail elements (direct-mode input)")
-    members = frozenset({e.algebra.theta}) | frozenset(e.tail_elements)
+    members = frozenset({0, *e.tail_elements})
     ok, witness = _closure_witness(dualize(e.algebra), members)
-    return Filter(members=members), ok, witness
+    return members, ok, witness

@@ -16,8 +16,3 @@ class FormatError(UsageError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class IntegrityError(RuntimeError):
-    """An internal consistency check failed (e.g. a non-BCK table produced
-    a relation that is not a partial order)."""

@@ -118,11 +118,11 @@ def parse_algebra_file(text: str) -> OpTable:
     table = np.array(rows, dtype=np.int64)
     if theta != 0:
         table, labels = _renumber(table, theta, labels)
-    return OpTable(table=table, kind=kind, theta=0, labels=labels)
+    return OpTable(table=table, kind=kind, labels=labels)
 
 
 def serialize_algebra(t: OpTable) -> str:
-    lines = [f"kind {t.kind}", f"n {t.n}", f"theta {t.theta}"]
+    lines = [f"kind {t.kind}", f"n {t.n}", "theta 0"]
     if t.labels is not None:
         lines.append("labels " + " ".join(t.labels))
     for row in t.table:

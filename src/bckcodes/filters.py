@@ -13,7 +13,7 @@ import sys
 
 from .algebra import dualize, require_axioms
 from .errors import UsageError
-from .model import DOT, STAR, ClassificationReport, Filter, OpTable
+from .model import DOT, STAR, ClassificationReport, OpTable
 
 # enumeration is exponential in the worst case; warn past this carrier size
 ENUMERATION_WARN_SIZE = 16
@@ -60,7 +60,7 @@ def is_filter(h: OpTable, s) -> tuple[bool, tuple[int, int] | None]:
 
 def _closure_witness(h: OpTable, members: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
     """`is_filter` on a table known to be a Hilbert algebra."""
-    if h.theta not in members:
+    if 0 not in members:
         return False, None
     rows = _pytable(h)
     for x in sorted(members):
@@ -71,16 +71,16 @@ def _closure_witness(h: OpTable, members: frozenset[int]) -> tuple[bool, tuple[i
     return True, None
 
 
-def generated_filter(h: OpTable, seed) -> Filter:
+def generated_filter(h: OpTable, seed) -> frozenset[int]:
     """Least filter containing the seed: {theta} grown by one seed element
     at a time."""
     _require_hilbert(h)
     seed = _check_members(h, seed)
     rows = _pytable(h)
-    mask = 1 << h.theta
+    mask = 1
     for a in sorted(seed):
         mask = _grow(rows[a], mask)
-    return Filter(members=_mask_to_set(mask, h.n))
+    return _mask_to_set(mask, h.n)
 
 
 def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
@@ -97,10 +97,9 @@ def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
         print(f"warning: enumerating filters of a {h.n}-element algebra may be slow", file=sys.stderr)
     rows = _pytable(h)
     carrier = (1 << h.n) - 1
-    base = 1 << h.theta
-    found = {base}
+    found = {1}
     maximal = []
-    frontier = [base]
+    frontier = [1]
     while frontier:
         nxt = []
         for mask in frontier:
@@ -127,32 +126,30 @@ def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
     return sorted(found, key=order), sorted(maximal, key=order)
 
 
-def all_filters(h: OpTable) -> list[Filter]:
+def all_filters(h: OpTable) -> list[frozenset[int]]:
     """Every filter, by breadth-first growth from {theta}.
 
     Output order: cardinality, then bitmask value.
     """
     _require_hilbert(h)
-    return [Filter(members=_mask_to_set(m, h.n)) for m in _enumerate_masks(h)[0]]
+    return [_mask_to_set(m, h.n) for m in _enumerate_masks(h)[0]]
 
 
-def maximal_filters(h: OpTable) -> list[Filter]:
+def maximal_filters(h: OpTable) -> list[frozenset[int]]:
     """Proper filters maximal under inclusion among proper filters; empty
     for the one-element algebra."""
     _require_hilbert(h)
-    return [Filter(members=_mask_to_set(m, h.n)) for m in _enumerate_masks(h)[1]]
+    return [_mask_to_set(m, h.n) for m in _enumerate_masks(h)[1]]
 
 
-def classify(h: OpTable, auto_dualize: bool = True) -> ClassificationReport:
+def classify(h: OpTable) -> ClassificationReport:
     """Semisimple/local verdicts per the maximal-filter structure.
 
-    Star input is dualized first when `auto_dualize` is set; the dual must
-    then pass the Hilbert axioms.  The one-element algebra is reported
-    degenerate with both verdicts not applicable.
+    Star input is dualized first; the dual must then pass the Hilbert
+    axioms.  The one-element algebra is reported degenerate with both
+    verdicts not applicable.
     """
     if h.kind == STAR:
-        if not auto_dualize:
-            raise UsageError("got a star table with auto_dualize disabled")
         h = dualize(h)
     _require_hilbert(h)
     masks, maximal = _enumerate_masks(h)
@@ -160,7 +157,7 @@ def classify(h: OpTable, auto_dualize: bool = True) -> ClassificationReport:
         return ClassificationReport(
             all_filter_count=len(masks),
             maximal_filters=(),
-            radical=frozenset({h.theta}),
+            radical=frozenset({0}),
             is_semisimple=False,
             is_local=False,
             degenerate=True,
@@ -171,9 +168,9 @@ def classify(h: OpTable, auto_dualize: bool = True) -> ClassificationReport:
     radical = _mask_to_set(radical_mask, h.n)
     return ClassificationReport(
         all_filter_count=len(masks),
-        maximal_filters=tuple(Filter(members=_mask_to_set(m, h.n)) for m in maximal),
+        maximal_filters=tuple(_mask_to_set(m, h.n) for m in maximal),
         radical=radical,
-        is_semisimple=radical == frozenset({h.theta}),
+        is_semisimple=radical == frozenset({0}),
         is_local=len(maximal) == 1,
         degenerate=False,
     )

@@ -29,13 +29,13 @@ class OpTable:
 
     `kind` is "star" for the order-style operation (x below y gives the
     distinguished element) and "dot" for its transpose, the implication-style
-    operation.  `theta` is the distinguished element; every constructor in
-    this package produces tables with theta == 0.
+    operation.  The distinguished element theta is always element 0:
+    `parse_algebra_file` renumbers a file's `theta` header to 0, and both
+    builders put the all-ones row first.
     """
 
     table: np.ndarray
     kind: str
-    theta: int = 0
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -45,8 +45,6 @@ class OpTable:
         n = arr.shape[0]
         if self.kind not in (STAR, DOT):
             raise UsageError(f"unknown table kind {self.kind!r}")
-        if not (0 <= self.theta < n):
-            raise UsageError(f"theta index {self.theta} out of range for n={n}")
         if arr.min() < 0 or arr.max() >= n:
             bad = int(np.argmax((arr < 0) | (arr >= n)))
             raise UsageError(f"table entry {arr.flat[bad]} at cell ({bad // n}, {bad % n}) is out of range [0, {n})")
@@ -71,7 +69,6 @@ class OpTable:
             return NotImplemented
         return (
             self.kind == other.kind
-            and self.theta == other.theta
             and self.labels == other.labels
             and np.array_equal(self.table, other.table)
         )
@@ -86,31 +83,11 @@ class AxiomReport:
     reproducible.
     """
 
-    kind_checked: str
     violations: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class PropertyFlags:
-    """Commutativity / implicativity / positive implicativity of a BCK table,
-    each with the first counterexample when false."""
-
-    commutative: bool
-    implicative: bool
-    positive_implicative: bool
-    commutative_witness: tuple[int, int] | None = None
-    implicative_witness: tuple[int, int] | None = None
-    positive_implicative_witness: tuple[int, int, int] | None = None
-
-
-@dataclass(frozen=True)
-class IsoResult:
-    isomorphic: bool
-    mapping: tuple[int, ...] | None = None
 
 
 def row_strings(rows) -> tuple[str, ...]:
@@ -176,7 +153,6 @@ class Poset:
     """A finite partial order given as a boolean leq matrix."""
 
     leq: np.ndarray
-    least: int | None = None
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -195,11 +171,6 @@ class Poset:
         if (reach & ~arr).any():
             i, j = np.unravel_index(int((reach & ~arr).argmax()), arr.shape)
             raise UsageError(f"relation is not transitive at ({i}, {j})")
-        if self.least is not None:
-            if not (0 <= self.least < n):
-                raise UsageError(f"least index {self.least} out of range")
-            if not arr[self.least].all():
-                raise UsageError(f"element {self.least} is not below every element")
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != n or any(not s for s in labels) or len(set(labels)) != n:
@@ -217,22 +188,7 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        return (
-            self.least == other.least
-            and self.labels == other.labels
-            and np.array_equal(self.leq, other.leq)
-        )
-
-
-@dataclass(frozen=True)
-class Filter:
-    """A deductive system of a Hilbert-style dot table, stored as a frozenset
-    of element indices."""
-
-    members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
+        return self.labels == other.labels and np.array_equal(self.leq, other.leq)
 
 
 @dataclass(frozen=True)
@@ -245,7 +201,7 @@ class ClassificationReport:
     """
 
     all_filter_count: int
-    maximal_filters: tuple[Filter, ...]
+    maximal_filters: tuple[frozenset[int], ...]
     radical: frozenset[int]
     is_semisimple: bool
     is_local: bool
@@ -281,28 +237,6 @@ class Embedding:
         object.__setattr__(self, "code_row_elements", tuple(self.code_row_elements))
         object.__setattr__(self, "tail_elements", tuple(self.tail_elements))
         object.__setattr__(self, "sort_permutation", tuple(self.sort_permutation))
-
-
-@dataclass(frozen=True)
-class CutSpec:
-    """Which elements become codewords (rows) and which become bit positions
-    (columns) when reading a code back out of an algebra."""
-
-    row_elements: tuple[int, ...]
-    col_elements: tuple[int, ...]
-
-    def __post_init__(self):
-        rows = tuple(int(i) for i in self.row_elements)
-        cols = tuple(int(i) for i in self.col_elements)
-        if not rows or not cols:
-            raise UsageError("cut spec needs at least one row and one column element")
-        object.__setattr__(self, "row_elements", rows)
-        object.__setattr__(self, "col_elements", cols)
-
-    def validate_against(self, n: int) -> None:
-        for i in self.row_elements + self.col_elements:
-            if not (0 <= i < n):
-                raise UsageError(f"cut spec element {i} out of range [0, {n})")
 
 
 @dataclass(frozen=True)

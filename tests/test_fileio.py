@@ -92,7 +92,6 @@ class TestAlgebraFiles:
         # same 2-chain but stored with theta at index 1
         text = "kind star\nn 2\ntheta 1\nlabels a θ\n1 0\n1 1\n"
         t = parse_algebra_file(text)
-        assert t.theta == 0
         assert np.array_equal(t.table, [[0, 0], [1, 0]])
         assert t.labels == ("θ", "a")
         assert verify_axioms(t, "bck").passed
@@ -113,7 +112,6 @@ class TestAlgebraFiles:
         for a in range(n):
             for b in range(n):
                 want[new_of[a]][new_of[b]] = new_of[table[a][b]]
-        assert t.theta == 0
         assert t.table.tolist() == want
         assert t.labels == tuple(labels[x] for x in order)
         assert verify_axioms(t, "bck").passed

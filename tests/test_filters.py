@@ -16,6 +16,7 @@ from bckcodes import (
     generated_filter,
     is_filter,
     maximal_filters,
+    parse_algebra_file,
     semisimple_family,
 )
 
@@ -84,19 +85,19 @@ class TestIsFilter:
 
 class TestGeneratedFilter:
     def test_seed_c_closes_to_l4(self, local5):
-        assert generated_filter(local5, {3}).members == {0, 1, 2, 3}
+        assert generated_filter(local5, {3}) == {0, 1, 2, 3}
 
     def test_empty_seed(self, local5):
-        assert generated_filter(local5, set()).members == {0}
+        assert generated_filter(local5, set()) == {0}
 
     def test_seed_d_gives_carrier(self, local5):
-        assert generated_filter(local5, {4}).members == {0, 1, 2, 3, 4}
+        assert generated_filter(local5, {4}) == {0, 1, 2, 3, 4}
 
     def test_output_is_filter_and_minimal(self, local5, semi4, embed9_dot):
         for h in (local5, semi4, embed9_dot):
-            filters = [f.members for f in all_filters(h)]
+            filters = all_filters(h)
             for seed_elem in range(h.n):
-                gen = generated_filter(h, {seed_elem}).members
+                gen = generated_filter(h, {seed_elem})
                 assert is_filter(h, gen)[0]
                 for f in filters:
                     if seed_elem in f:
@@ -105,26 +106,26 @@ class TestGeneratedFilter:
 
 class TestAllFilters:
     def test_local5_exactly_six(self, local5):
-        assert [f.members for f in all_filters(local5)] == LOCAL5_FILTERS
+        assert all_filters(local5) == LOCAL5_FILTERS
 
     def test_one_element(self):
-        assert [f.members for f in all_filters(dot_table([[0]]))] == [frozenset({0})]
+        assert all_filters(dot_table([[0]])) == [frozenset({0})]
 
     def test_semi4_all_theta_subsets(self, semi4):
-        found = [f.members for f in all_filters(semi4)]
+        found = all_filters(semi4)
         assert len(found) == 8
         assert sorted(found, key=lambda s: (len(s), sum(1 << i for i in s))) == found
         assert set(found) == set(brute_filters(SEMI4_DOT))
 
     def test_matches_subset_oracle(self, local5, embed9_dot):
         for h in (local5, embed9_dot):
-            assert set(f.members for f in all_filters(h)) == set(
+            assert set(f for f in all_filters(h)) == set(
                 brute_filters(np.asarray(h.table))
             )
 
     def test_closed_under_intersection(self, local5, embed9_dot):
         for h in (local5, embed9_dot):
-            found = set(f.members for f in all_filters(h))
+            found = set(f for f in all_filters(h))
             for f1 in found:
                 for f2 in found:
                     assert f1 & f2 in found
@@ -132,15 +133,15 @@ class TestAllFilters:
 
 class TestMaximalFilters:
     def test_local5(self, local5):
-        assert [f.members for f in maximal_filters(local5)] == LOCAL5_MAXIMAL
+        assert maximal_filters(local5) == LOCAL5_MAXIMAL
 
     def test_semi4(self, semi4):
-        assert [f.members for f in maximal_filters(semi4)] == SEMI4_MAXIMAL
+        assert maximal_filters(semi4) == SEMI4_MAXIMAL
 
     def test_embed9_brute_verified_list(self, embed9_dot):
-        found = [f.members for f in maximal_filters(embed9_dot)]
+        found = maximal_filters(embed9_dot)
         assert sorted(found, key=sorted) == sorted(EMBED9_VERIFIED_MAXIMAL, key=sorted)
-        assert found == [f.members for f in maximal_filters(embed9_dot)]
+        assert found == maximal_filters(embed9_dot)
         assert set(found) == set(brute_maximal(np.asarray(embed9_dot.table)))
 
     def test_embed9_six_set_claim_contains_a_non_filter(self, embed9_dot):
@@ -155,12 +156,12 @@ class TestMaximalFilters:
         for h in (local5, semi4, embed9_dot):
             filters = all_filters(h)
             carrier = frozenset(range(h.n))
-            proper = [f.members for f in filters if f.members != carrier]
+            proper = [f for f in filters if f != carrier]
             expected = [
                 f for f in proper if not any(f < g for g in proper)
             ]
             assert sorted(expected, key=sorted) == sorted(
-                (f.members for f in maximal_filters(h)), key=sorted
+                (f for f in maximal_filters(h)), key=sorted
             )
 
     def test_one_element_empty(self):
@@ -184,7 +185,7 @@ class TestEnumerationWarning:
 
 class TestClassify:
     def test_embed9(self, embed9_dot):
-        report = classify(embed9_dot, auto_dualize=False)
+        report = classify(embed9_dot)
         assert not report.is_semisimple
         assert not report.is_local
         assert report.radical == EMBED9_VERIFIED_RADICAL
@@ -192,7 +193,7 @@ class TestClassify:
     def test_local5(self, local5):
         report = classify(local5)
         assert report.is_local and not report.is_semisimple
-        assert [f.members for f in report.maximal_filters] == LOCAL5_MAXIMAL
+        assert list(report.maximal_filters) == LOCAL5_MAXIMAL
 
     def test_semi4(self, semi4):
         report = classify(semi4)
@@ -203,10 +204,6 @@ class TestClassify:
         report = classify(star_table(np.asarray(LOCAL5_DOT).T.copy()))
         assert report.is_local
 
-    def test_star_input_without_auto_dualize(self):
-        with pytest.raises(UsageError):
-            classify(star_table([[0, 0], [1, 0]]), auto_dualize=False)
-
     def test_degenerate(self):
         report = classify(dot_table([[0]]))
         assert report.degenerate
@@ -216,14 +213,14 @@ class TestClassify:
 
     def test_verdicts_recomputable(self, local5, semi4, embed9_dot):
         for h in (local5, semi4, embed9_dot):
-            report = classify(h, auto_dualize=False)
+            report = classify(h)
             assert report.is_local == (len(report.maximal_filters) == 1)
             radical = frozenset(range(h.n))
             for f in report.maximal_filters:
-                radical &= f.members
+                radical &= f
             assert radical == report.radical
-            assert report.is_semisimple == (radical == frozenset({h.theta}))
-            assert h.theta in report.radical
+            assert report.is_semisimple == (radical == frozenset({0}))
+            assert 0 in report.radical
 
     @pytest.mark.parametrize("k", [*range(1, 10), 15])
     def test_antichain_structure(self, k):
@@ -242,41 +239,50 @@ def _bitmask_order(s: frozenset) -> tuple[int, int]:
 
 class TestHeytingDownsets:
     """Hilbert algebras that no poset induces: Heyting implication on the
-    down-sets of one poset per isomorphism class on 1..4 points, with theta
-    (the whole poset) as the last index."""
+    down-sets of one poset per isomorphism class on 1..4 points.  theta, the
+    whole poset, is the last down-set; the `theta` header of the algebra
+    file renumbers it to element 0, and the brute-force oracles run on the
+    table as built and are mapped through the same renumbering."""
 
     @staticmethod
     def algebras(k: int):
+        """(algebra with theta at 0, table as built, index of theta)."""
         for leq in posets_up_to_iso(k):
             table, theta = heyting_downsets(leq)
-            yield OpTable(table=table, kind=DOT, theta=theta)
+            text = f"kind dot\nn {len(table)}\ntheta {theta}\n"
+            text += "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+            yield parse_algebra_file(text), table, theta
+
+    @staticmethod
+    def renumbered(sets, theta: int) -> list[frozenset]:
+        """Member sets of the built table in the parsed algebra's indices:
+        theta becomes 0 and every index below it moves up by one."""
+        return [frozenset(0 if x == theta else x + (x < theta) for x in f) for f in sets]
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_filters_and_classification_match_brute_force(self, k):
         not_induced = 0
-        for h in self.algebras(k):
-            table = np.asarray(h.table)
-            not_induced += bool(((table != h.theta) & (table != np.arange(h.n))).any())
-            want = sorted(brute_filters(table, h.theta), key=_bitmask_order)
-            want_maximal = set(brute_maximal(table, h.theta))
-            assert [f.members for f in all_filters(h)] == want
-            assert [f.members for f in maximal_filters(h)] == [
-                f for f in want if f in want_maximal
-            ]
-            report = classify(h, auto_dualize=False)
+        for h, table, theta in self.algebras(k):
+            t = np.asarray(h.table)
+            not_induced += bool(((t != 0) & (t != np.arange(h.n))).any())
+            want = sorted(self.renumbered(brute_filters(table, theta), theta), key=_bitmask_order)
+            want_maximal = set(self.renumbered(brute_maximal(table, theta), theta))
+            assert all_filters(h) == want
+            assert maximal_filters(h) == [f for f in want if f in want_maximal]
+            report = classify(h)
             assert report.all_filter_count == len(want)
-            assert set(f.members for f in report.maximal_filters) == want_maximal
+            assert set(report.maximal_filters) == want_maximal
             radical = frozenset(range(h.n)).intersection(*want_maximal)
             assert report.radical == radical
-            assert report.is_semisimple == (radical == {h.theta})
+            assert report.is_semisimple == (radical == {0})
             assert report.is_local == (len(want_maximal) == 1)
         assert not_induced > 0 or k == 1
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_generated_filter_is_least_filter_containing_seed(self, k):
         rng = np.random.default_rng(k)
-        for h in self.algebras(k):
-            filters = brute_filters(np.asarray(h.table), h.theta)
+        for h, table, theta in self.algebras(k):
+            filters = self.renumbered(brute_filters(table, theta), theta)
             seeds = [frozenset(c) for r in (0, 1, 2) for c in combinations(range(h.n), r)]
             seeds += [
                 frozenset(int(i) for i in rng.choice(h.n, size=size, replace=False))
@@ -284,4 +290,4 @@ class TestHeytingDownsets:
             ]
             for seed in seeds:
                 least = frozenset(range(h.n)).intersection(*(f for f in filters if seed <= f))
-                assert generated_filter(h, seed).members == least, (h.table, seed)
+                assert generated_filter(h, seed) == least, (h.table, seed)
