@@ -647,8 +647,13 @@ class TestOneElementAndOrderErrors:
                 "relation is not antisymmetric: 1 <= 2 and 2 <= 1",
             ),
             ("kind star\nn 2\ntheta 0\n0 1\n1 0\n", "element 0 is not below every element"),
+            # both faults: the order axioms are reported first
+            (
+                "kind star\nn 3\ntheta 0\n0 1 1\n1 0 0\n2 0 0\n",
+                "relation is not antisymmetric: 1 <= 2 and 2 <= 1",
+            ),
         ],
-        ids=["not-antisymmetric", "theta-not-least"],
+        ids=["not-antisymmetric", "theta-not-least", "both"],
     )
     def test_hasse_on_a_non_order(self, capsys, tmp_path, text, message):
         code, out, err = run(capsys, "hasse", alg_file(tmp_path, text))
