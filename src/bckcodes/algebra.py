@@ -79,43 +79,37 @@ def bck_order(t: OpTable) -> Poset:
 def refine_colors(table: np.ndarray) -> list[int]:
     """Iterated partition refinement: invariant color per element.
 
-    Colors start from (is theta, #y with x∘y=theta, #y with y∘x=theta) and
-    are refined with the multiset of (color(y), color(x∘y), color(y∘x)) until
-    stable.  Color ids are canonical (sorted signature order), so isomorphic
-    tables get identical color multisets.
+    Colors start from (is theta, #y with x∘y=theta, #y with y∘x=theta).  Each
+    round gives x the signature row (its color, then the sorted codes
+    c(y)·k² + c(x∘y)·k + c(y∘x) over all y, k colors in use); it stops when
+    the number of colors stops growing.  Color ids number the distinct
+    signature rows in sorted byte order, a function of the signatures alone,
+    so isomorphic tables get identical color multisets.
     """
     t = np.asarray(table)
-    n = t.shape[0]
-    row_theta = (t == 0).sum(axis=1)
-    col_theta = (t == 0).sum(axis=0)
-    sig = [(int(x == 0), int(row_theta[x]), int(col_theta[x])) for x in range(n)]
-    colors = _canonical_ids(sig)
-    for _ in range(n):
-        sig = [
-            (
-                colors[x],
-                tuple(sorted((colors[y], colors[t[x, y]], colors[t[y, x]]) for y in range(n))),
-            )
-            for x in range(n)
-        ]
-        new = _canonical_ids(sig)
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def _canonical_ids(signatures) -> list[int]:
-    order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-    return [order[sig] for sig in signatures]
+    zero = t == 0
+    sig = np.stack([np.arange(len(t)) == 0, zero.sum(axis=1), zero.sum(axis=0)], axis=1).astype(np.int64)
+    k = 0
+    while True:
+        keys = [row.tobytes() for row in sig]
+        ids = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = np.array([ids[key] for key in keys], dtype=np.int64)
+        if len(ids) == k:
+            return colors.tolist()
+        k = len(ids)
+        codes = np.sort(colors[None, :] * k * k + colors[t] * k + colors[t.T], axis=1)
+        sig = np.column_stack([colors, codes])
 
 
 def are_isomorphic(t1: OpTable, t2: OpTable) -> tuple[int, ...] | None:
-    """Search for a theta-fixing isomorphism by backtracking: the mapping
-    (entry x is the image of element x), or None when there is none.
+    """The lexicographically first theta-fixing isomorphism (entry x is the
+    image of element x), or None when there is none.
 
-    Candidates are pruned by refined partition colors and tried in index
-    order, so the returned mapping is deterministic.
+    Theta goes to theta, then elements 1..n-1 are placed in index order,
+    each trying the unused elements of its refined color in index order.
+    Placing x at y is kept while row x and column x of the placed prefix
+    agree with the second table, and a full assignment only after every
+    equation is checked.  One iterator per level replaces recursion.
     """
     if t1.kind != t2.kind:
         raise UsageError("cannot compare tables of different kinds")
@@ -126,49 +120,28 @@ def are_isomorphic(t1: OpTable, t2: OpTable) -> tuple[int, ...] | None:
         return None
 
     a, b = t1.table, t2.table
-    colors1 = refine_colors(a)
-    colors2 = refine_colors(b)
-    if sorted(colors1) != sorted(colors2):
+    colors1, colors2 = np.array(refine_colors(a)), np.array(refine_colors(b))
+    if not np.array_equal(np.sort(colors1), np.sort(colors2)):
         return None
-
-    mapping = [0] + [-1] * (n - 1)
-    used = [True] + [False] * (n - 1)
-    order = range(1, n)
-
-    def consistent(x: int, y: int) -> bool:
-        for z in range(n):
-            w = mapping[z]
-            if w < 0:
-                continue
-            img = mapping[a[x, z]]
-            if img >= 0 and b[y, w] != img:
-                return False
-            img = mapping[a[z, x]]
-            if img >= 0 and b[w, y] != img:
-                return False
-        img = mapping[a[x, x]]
-        if img >= 0 and b[y, y] != img:
-            return False
-        return True
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            # values a[u,v] assigned after max(u, v) escape the incremental
-            # check, so accept only after verifying the full equation
-            perm = np.array(mapping, dtype=np.int64)
-            return bool(np.array_equal(perm[a], b[perm[:, None], perm[None, :]]))
-        x = order[k]
-        for y in range(n):
-            if used[y] or colors2[y] != colors1[x]:
-                continue
-            if not consistent(x, y):
-                continue
-            mapping[x] = y
-            used[y] = True
-            if extend(k + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
-        return False
-
-    return tuple(mapping) if extend(0) else None
+    m = np.full(n, -1, dtype=np.int64)  # -1 until placed
+    levels = [iter([0])]  # levels[x] yields the untried candidates for element x
+    while levels:
+        x = len(levels) - 1
+        for y in levels[-1]:
+            m[x] = y
+            placed = m[: x + 1]
+            row, col = m[a[x, : x + 1]], m[a[: x + 1, x]]
+            if ((row < 0) | (row == b[y, placed])).all() and ((col < 0) | (col == b[placed, y])).all():
+                break
+        else:
+            m[x] = -1
+            levels.pop()
+            continue
+        if x + 1 < n:
+            # m[: x + 1] is fixed while this level lives: leave its images out once
+            unused = np.bincount(m[: x + 1], minlength=n) == 0
+            levels.append(iter(np.flatnonzero((colors2 == colors1[x + 1]) & unused).tolist()))
+        elif np.array_equal(m[a], b[m[:, None], m[None, :]]):
+            # a[u, v] placed after max(u, v) escapes the prefix checks
+            return tuple(m.tolist())
+    return None

@@ -55,18 +55,22 @@ def _renumber(table: np.ndarray, theta: int, labels):
 
 def parse_algebra_file(text: str) -> OpTable:
     """Header lines `kind star|dot`, `n <int>`, `theta <index>`, optional
-    `labels <n names>`, then n rows of n indices.  The result is renumbered
-    so theta is element 0, with labels carried along."""
+    `labels <n names>`, each at most once, then n rows of n indices.  The
+    result is renumbered so theta is element 0, with labels carried along."""
     kind = None
     n = None
     theta = None
     labels = None
     rows = []
+    seen = set()
     expect_rows = False
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if not expect_rows and tokens[0] in ("kind", "n", "theta", "labels"):
             key, *rest = tokens
+            if key in seen:
+                raise FormatError(f"duplicate {key!r} header", line=lineno)
+            seen.add(key)
             if key == "kind":
                 if len(rest) != 1 or rest[0] not in (STAR, DOT):
                     raise FormatError("kind must be 'star' or 'dot'", line=lineno)

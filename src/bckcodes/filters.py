@@ -63,11 +63,11 @@ def _closure_witness(h: OpTable, members: frozenset[int]) -> tuple[bool, tuple[i
     if 0 not in members:
         return False, None
     rows = _pytable(h)
+    mask = sum(1 << i for i in members)
     for x in sorted(members):
-        row = rows[x]
-        for y in range(h.n):
-            if y not in members and row[y] in members:
-                return False, (x, y)
+        extra = _grow(rows[x], mask) & ~mask
+        if extra:
+            return False, (x, (extra & -extra).bit_length() - 1)
     return True, None
 
 

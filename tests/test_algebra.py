@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,13 +15,18 @@ from bckcodes import (
     are_isomorphic,
     bck_order,
     bck_properties,
+    census,
+    direct_algebra,
     dualize,
     embed_code,
+    parse_algebra_file,
+    refine_colors,
+    semisimple_family,
     verify_axioms,
 )
 from bckcodes.posets import star_from_order
 
-from conftest import star_table
+from conftest import heyting_downsets, posets_up_to_iso, star_table
 from golden import (
     EMBED9_DOT,
     EMBED9_LABELS,
@@ -327,6 +334,83 @@ class TestAreIsomorphic:
                     assert np.array_equal(
                         m[t1.table], t2.table[m[:, None], m[None, :]]
                     )
+
+    def test_deep_table_needs_no_recursion(self):
+        # the search must not recurse once per element: 301 elements under a
+        # recursion limit only 100 frames above the caller's stack
+        t = direct_algebra(semisimple_family(301)).algebra
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            result = are_isomorphic(t, t)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result == tuple(range(301))
+
+
+def brute_iso(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
+    """Independent oracle: the first theta-fixing bijection (0, *p), p in
+    lexicographic order, that carries table a onto table b."""
+    n = len(a)
+    if len(b) != n:
+        return None
+    perms = np.array([(0, *p) for p in itertools.permutations(range(1, n))])
+    hits = (perms[:, a] == b[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+    return tuple(perms[hits.argmax()].tolist()) if hits.any() else None
+
+
+def relabel(t: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The table of t with element x renamed perm[x]."""
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return out
+
+
+class TestIsoOracle:
+    """`are_isomorphic` returns exactly the lexicographically first
+    theta-fixing isomorphism, checked by brute force on small tables that a
+    poset induces and on tables that none does."""
+
+    @staticmethod
+    def tables() -> list[OpTable]:
+        tables = [
+            direct_algebra(BlockCode.from_strings(rep)).algebra
+            for n in range(2, 7)
+            for rep in census(n).class_representatives
+        ]
+        # bounded subtraction on a k-chain: a BCK-algebra no poset induces
+        for k in range(1, 7):
+            x = np.arange(k)
+            tables.append(star_table(np.maximum(x[:, None] - x[None, :], 0)))
+        for k in range(1, 5):
+            for leq in posets_up_to_iso(k):
+                table, theta = heyting_downsets(leq)
+                if len(table) <= 7:
+                    text = f"kind dot\nn {len(table)}\ntheta {theta}\n"
+                    text += "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+                    tables.append(parse_algebra_file(text))
+        return tables
+
+    def test_first_isomorphism_matches_brute_force(self):
+        rng = np.random.default_rng(41)
+        tables = self.tables()
+        pairs = 0
+        for i, t in enumerate(tables):
+            perm = np.concatenate(([0], 1 + rng.permutation(t.n - 1)))
+            moved = OpTable(table=relabel(t.table, perm), kind=t.kind)
+            same_size = [u for u in tables[i + 1 :] if u.n == t.n and u.kind == t.kind][:3]
+            for u, v in [(t, moved), (moved, t), (t, t), *((t, u) for u in same_size)]:
+                assert are_isomorphic(u, v) == brute_iso(u.table, v.table), (u, v)
+                pairs += 1
+        assert pairs > 500
+
+    def test_refine_colors_invariant_under_relabeling(self):
+        rng = np.random.default_rng(43)
+        for t in self.tables():
+            perm = np.concatenate(([0], 1 + rng.permutation(t.n - 1)))
+            colors = np.array(refine_colors(t.table))
+            moved = np.array(refine_colors(relabel(t.table, perm)))
+            assert np.array_equal(moved[perm], colors)
 
 
 class TestRelabelInvariance:

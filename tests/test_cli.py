@@ -683,11 +683,16 @@ class TestAlgebraFormatErrors:
             ("kind star\nn 1\n0\n", "missing 'theta' header"),
             ("kind star\nn 1\ntheta 1\n0\n", "theta index 1 out of range [0, 1)"),
             ("kind star\nn 2\ntheta 0\nlabels a\n0 0\n1 0\n", "expected 2 labels, got 1"),
+            ("kind star\nn 3\ntheta 0\nn 2\n0 0\n1 0\n", "line 4: duplicate 'n' header"),
+            ("kind star\nkind dot\nn 1\ntheta 0\n0\n", "line 2: duplicate 'kind' header"),
+            ("kind star\nn 2\ntheta 0\ntheta 1\n0 0\n1 0\n", "line 4: duplicate 'theta' header"),
+            ("kind star\nn 1\ntheta 0\nlabels a\nlabels b\n0\n", "line 5: duplicate 'labels' header"),
         ],
         ids=[
             "bad-kind", "n-non-integer", "n-zero", "theta-non-integer", "rows-before-n",
             "non-integer-entry", "short-row", "too-many-rows", "n-missing", "theta-missing",
-            "theta-out-of-range", "label-count",
+            "theta-out-of-range", "label-count", "duplicate-n", "duplicate-kind",
+            "duplicate-theta", "duplicate-labels",
         ],
     )
     def test_one_error_line(self, capsys, monkeypatch, tmp_path, text, message):
