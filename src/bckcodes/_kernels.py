@@ -71,15 +71,24 @@ def hilbert_axiom_scan(table) -> tuple:
     return _first(v1), w2, _first(v3)
 
 
-def bck_property_scan(table) -> tuple:
+def commutative_implicative_scan(table) -> tuple:
+    """The two n^2 property checks of a BCK star table."""
     t = _as_table(table)
-    n = t.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(t.shape[0])
     # commutative: x*(x*y) == y*(y*x)
     left = t[idx[:, None], t]
     v1 = left != left.T
     # implicative: x*(y*x) == x
     v2 = t[idx[:, None], t.T] != idx[:, None]
-    # positive implicative: (x*y)*z == (x*z)*(y*z)
-    w3 = _first_over_x(n, lambda x: t[t[x, :, None], idx] != t[t[x][None, :], t])
-    return _first(v1), _first(v2), w3
+    return _first(v1), _first(v2)
+
+
+def positive_implicative_scan(table) -> tuple[int, int, int] | None:
+    """The n^3 check (x*y)*z == (x*z)*(y*z) of a BCK star table."""
+    t = _as_table(table)
+    idx = np.arange(t.shape[0])
+    return _first_over_x(len(t), lambda x: t[t[x, :, None], idx] != t[t[x][None, :], t])
+
+
+def bck_property_scan(table) -> tuple:
+    return (*commutative_implicative_scan(table), positive_implicative_scan(table))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BlockCode, Poset
+from .model import BlockCode, Poset, bool_product
 
 
 def lex_sort_desc_with_perm(c: BlockCode) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -40,6 +40,5 @@ def hasse_covers(p: Poset) -> list[tuple[int, int]]:
     """Covering pairs (x, y): x strictly below y with nothing in between,
     ordered by (lower, upper) index."""
     strict = p.leq & ~np.eye(p.n, dtype=bool)
-    inbetween = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
-    covers = strict & ~inbetween
+    covers = strict & ~bool_product(strict, strict)
     return [(int(i), int(j)) for i, j in np.argwhere(covers)]

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from bckcodes import (
     semisimple_family,
     verify_axioms,
 )
-from bckcodes.posets import star_from_order
+from bckcodes import _kernels as K
+from bckcodes.cli import run_command
+from bckcodes.posets import domination_leq, star_from_order
 
-from conftest import heyting_downsets, posets_up_to_iso, star_table
+from conftest import FIXTURES, heyting_downsets, posets_up_to_iso, star_table
 from golden import (
     EMBED9_DOT,
     EMBED9_LABELS,
@@ -421,3 +424,134 @@ class TestRelabelInvariance:
             perm = np.concatenate(([0], rng.permutation(np.arange(1, 9))))
             relabeled = perm[t[np.argsort(perm)[:, None], np.argsort(perm)[None, :]]]
             assert verify_axioms(star_table(relabeled), "bck").passed
+
+
+def zero_or_x_tables(n):
+    """Every star table on n elements whose cell (x, y) is 0 or x."""
+    idx = np.arange(n)
+    for bits in itertools.product((0, 1), repeat=(n - 1) * n):
+        t = np.zeros((n, n), dtype=np.int64)
+        t[1:] = np.array(bits).reshape(n - 1, n) * idx[1:, None]
+        yield t
+
+
+def random_zero_or_x_tables(count, seed):
+    """Seeded {0, x} star tables with 5 to 8 elements: the table of the
+    domination order of random rows under an all-ones row, with 0, 1 or 2
+    cells toggled between 0 and x.  Equal rows break antisymmetry."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(5, 9))
+        rows = rng.integers(0, 2, size=(n, int(rng.integers(3, 9))))
+        rows[0] = 1
+        t = star_from_order(domination_leq(rows))
+        for _ in range(k % 3):
+            x, y = rng.integers(n, size=2)
+            t[x, y] = x - t[x, y]
+        yield t
+
+
+def scanned(scan) -> tuple:
+    return tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
+
+
+class TestClosedFormAgainstScans:
+    """On {0, x} star tables, `verify_axioms` and `bck_properties` report
+    exactly what the kernel scans report, for the order-induced tables they
+    accept in closed form and for the rest."""
+
+    @staticmethod
+    def agrees(t: np.ndarray) -> bool:
+        star = star_table(t)
+        bck = K.bck_axiom_scan(t)
+        assert verify_axioms(star, "bck").violations == scanned(bck), t
+        assert verify_axioms(star, "bci").violations == scanned(bck[:4]), t
+        assert verify_axioms(dualize(star), "hilbert").violations == scanned(K.hilbert_axiom_scan(t.T)), t
+        if scanned(bck):
+            return False
+        assert tuple(bck_properties(star).values()) == K.bck_property_scan(t), t
+        return True
+
+    def test_every_small_table(self):
+        verdicts = [self.agrees(t) for n in range(1, 5) for t in zero_or_x_tables(n)]
+        # 1 + 1 + 3 + 19 tables are orders with 0 least: the labelled posets
+        # on the other n - 1 elements
+        assert (sum(verdicts), len(verdicts)) == (24, 1 + 4 + 64 + 4096)
+
+    def test_seeded_tables_up_to_8(self):
+        verdicts = [self.agrees(t) for t in random_zero_or_x_tables(600, seed=53)]
+        assert 100 < sum(verdicts) < 500
+
+
+def counting_scans(monkeypatch) -> Counter:
+    """Wrap the n^3 kernel scans so that each call is counted."""
+    calls = Counter()
+    for name in ("bck_axiom_scan", "hilbert_axiom_scan", "positive_implicative_scan"):
+        def counted(table, _name=name, _scan=getattr(K, name)):
+            calls[_name] += 1
+            return _scan(table)
+
+        monkeypatch.setattr(K, name, counted)
+    return calls
+
+
+def heyting_table(leq) -> OpTable:
+    table, theta = heyting_downsets(np.array(leq, dtype=bool))
+    text = f"kind dot\nn {len(table)}\ntheta {theta}\n"
+    text += "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+    return parse_algebra_file(text)
+
+
+class TestTablesOutsideTheClosedForm:
+    """Valid algebras that no poset induces still reach the scans, and their
+    reports and witnesses are the scans'."""
+
+    def test_bounded_subtraction_chain(self, monkeypatch):
+        x = np.arange(5)
+        chain = star_table(np.maximum(x[:, None] - x[None, :], 0))
+        calls = counting_scans(monkeypatch)
+        assert verify_axioms(chain, "bck").passed
+        assert bck_properties(chain) == {
+            "commutative": None,
+            "implicative": (1, 2),
+            "positive_implicative": (2, 1, 1),
+        }
+        assert verify_axioms(dualize(chain), "hilbert").violations == ((2, (1, 1, 2)),)
+        assert calls == {"bck_axiom_scan": 2, "positive_implicative_scan": 1, "hilbert_axiom_scan": 1}
+
+    @pytest.mark.parametrize(
+        "leq, props",
+        [
+            ([[1, 0], [0, 1]], (None, None, None)),
+            ([[1, 0, 1], [0, 1, 1], [0, 0, 1]], ((1, 4), (4, 1), None)),
+        ],
+        ids=["boolean-4", "heyting-5"],
+    )
+    def test_heyting_downsets(self, monkeypatch, leq, props):
+        h = heyting_table(leq)
+        calls = counting_scans(monkeypatch)
+        assert verify_axioms(h, "hilbert").passed
+        assert tuple(bck_properties(dualize(h)).values()) == props
+        assert calls == {"hilbert_axiom_scan": 1, "bck_axiom_scan": 1, "positive_implicative_scan": 1}
+
+
+class TestClosedFormNeedsNoScan:
+    def test_cli_on_an_embedded_code_without_the_cubic_scans(self, capsys, monkeypatch):
+        path = str(FIXTURES / "embed9_star.alg")
+        commands = [
+            ["verify", "--kind", "bck", path],
+            ["verify", "--kind", "bci", path],
+            ["props", path],
+            ["iso", path, path],
+            ["classify", path],
+        ]
+        before = [(run_command(argv), capsys.readouterr()) for argv in commands]
+
+        def refuse(table):
+            raise AssertionError("an n^3 scan ran on an order-induced table")
+
+        for name in ("bck_axiom_scan", "hilbert_axiom_scan", "positive_implicative_scan"):
+            monkeypatch.setattr(K, name, refuse)
+        for argv, (code, captured) in zip(commands, before):
+            assert (code, captured.err) == (0, ""), argv
+            assert (run_command(argv), capsys.readouterr()) == (code, captured), argv

@@ -5,17 +5,19 @@ import pytest
 
 from bckcodes import (
     BlockCode,
+    UsageError,
     bck_order,
     bck_properties,
     hasse_covers,
+    parse_code_file,
     verify_axioms,
 )
 from bckcodes import codegen
-from bckcodes.embedding import carrier_rows
-from bckcodes.model import Poset, row_strings
+from bckcodes.embedding import carrier_rows, extend_matrix
+from bckcodes.model import Poset, order_fault, row_strings
 from bckcodes.posets import domination_leq, lex_sort_desc_with_perm, star_from_order
 
-from conftest import all_words, loop_leq, star_table
+from conftest import all_words, fixture_text, loop_leq, star_table
 from golden import (
     LOCAL5_CODE,
     LOCAL5_COVERS,
@@ -241,3 +243,76 @@ class TestHasseCovers:
             for k in range(n):
                 rebuilt |= np.outer(rebuilt[:, k], rebuilt[k, :])
             assert np.array_equal(rebuilt, poset.leq)
+
+
+def brute_order_fault(leq) -> str | None:
+    """Oracle in plain loops: the first failing order axiom, in the words
+    `Poset` raises it with."""
+    n = len(leq)
+    if not all(leq[i][i] for i in range(n)):
+        return "relation is not reflexive"
+    pairs = list(itertools.product(range(n), repeat=2))
+    for i, j in pairs:
+        if i != j and leq[i][j] and leq[j][i]:
+            return f"relation is not antisymmetric: {i} <= {j} and {j} <= {i}"
+    for i, j in pairs:
+        if not leq[i][j] and any(leq[i][k] and leq[k][j] for k in range(n)):
+            return f"relation is not transitive at ({i}, {j})"
+    return None
+
+
+def random_relations(count, seed):
+    """Seeded boolean relations on 1 to 8 elements: uniform ones, reflexive
+    ones, and domination orders with one pair added or dropped."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 9))
+        if k % 3 == 0:
+            yield rng.random((n, n)) < 0.5
+            continue
+        if k % 3 == 1:
+            leq = rng.random((n, n)) < 0.3
+        else:
+            leq = domination_leq(rng.integers(0, 2, size=(n, int(rng.integers(2, 7)))))
+        np.fill_diagonal(leq, True)
+        i, j = rng.integers(n, size=2)
+        leq[i, j] = not leq[i, j]
+        yield leq
+
+
+class TestOrderFault:
+    def test_seeded_relations_against_loops(self):
+        seen = set()
+        for leq in random_relations(900, seed=61):
+            fault = order_fault(leq)
+            assert fault == brute_order_fault(leq.tolist()), leq
+            if fault is None:
+                assert np.array_equal(Poset(leq=leq).leq, leq)
+            else:
+                with pytest.raises(UsageError) as err:
+                    Poset(leq=leq)
+                assert str(err.value) == fault
+            seen.add(fault and fault.split()[3].rstrip(":"))
+        assert seen == {None, "reflexive", "antisymmetric", "transitive"}
+
+    @pytest.mark.parametrize("name", ["embed9.code", "local5.code", "semisimple4.code"])
+    def test_fixture_orders(self, name):
+        code = parse_code_file(fixture_text(name))
+        for rows in (code.matrix, carrier_rows(code)[0], extend_matrix(code)):
+            assert order_fault(domination_leq(rows)) is None
+
+
+class TestHasseCoversOracle:
+    def test_seeded_codes_against_loops(self):
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            rows = np.unique(rng.integers(0, 2, size=(int(rng.integers(2, 30)), 6)), axis=0)
+            leq = domination_leq(rows)
+            n = len(leq)
+            expected = [
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if i != j and leq[i, j] and not any(k not in (i, j) and leq[i, k] and leq[k, j] for k in range(n))
+            ]
+            assert hasse_covers(Poset(leq=leq)) == expected
