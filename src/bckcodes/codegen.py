@@ -1,5 +1,6 @@
 """Recovering codes from algebras via cut rows, the semisimple/local code
-families, and the exhaustive isomorphism census with its matrix-count bound."""
+families, and the isomorphism census with its matrix-count bound: exhaustive
+up to n = 8 by factoring row 1 out of the enumeration, sampled above."""
 from __future__ import annotations
 
 import os
@@ -21,7 +22,7 @@ from .model import (
 )
 from .posets import domination_leq, star_from_order
 
-CENSUS_EXHAUSTIVE_MAX_N = 7
+CENSUS_EXHAUSTIVE_MAX_N = 8
 CENSUS_SAMPLE_MAX_N = 16
 _BATCH = 4096
 
@@ -135,19 +136,18 @@ def _matrices_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _census_form(leq: np.ndarray) -> bytes:
-    """Canonical key of the census algebra on the order `leq` (theta = 0,
-    x * y = 0 if x <= y else x): its lexicographically minimal row-major
-    table over the relabelings that keep theta at 0.
+def _census_labelling(leq: np.ndarray) -> np.ndarray:
+    """The relabeling behind `_census_form`: new element k is old element
+    p[k], and p[0] = 0.
 
-    Relabeled by p, entry (i, j) is 0 if p_i <= p_j and i otherwise.  The
-    search is individualization-refinement (McKay & Piperno, Practical
-    graph isomorphism II, 2014) on an ordered partition of the unplaced
-    elements: p_k is picked from the first cell, then every cell is split
-    into the elements above p_k followed by the others, which fixes row k.
-    Every state whose row k is minimal goes on to the next level.  Twins
-    (equal strict up- and down-sets) are swapped by an automorphism, so one
-    per twin class is tried in a cell.
+    Relabeled by p, entry (i, j) of the census table is 0 if p_i <= p_j and
+    i otherwise.  The search is individualization-refinement (McKay &
+    Piperno, Practical graph isomorphism II, 2014) on an ordered partition
+    of the unplaced elements: p_k is picked from the first cell, then every
+    cell is split into the elements above p_k followed by the others, which
+    fixes row k.  Every state whose row k is minimal goes on to the next
+    level.  Twins (equal strict up- and down-sets) are swapped by an
+    automorphism, so one per twin class is tried in a cell.
     """
     n = len(leq)
     weights = 1 << np.arange(n, dtype=np.int64)
@@ -178,35 +178,129 @@ def _census_form(leq: np.ndarray) -> bytes:
                 if row == best:
                     kept.append((order, cells))
         states = kept
-    p = np.array(states[0][0])
+    return np.array(states[0][0])
+
+
+def _census_form(leq: np.ndarray) -> bytes:
+    """Canonical key of the census algebra on the order `leq` (theta = 0,
+    x * y = 0 if x <= y else x): its lexicographically minimal row-major
+    table over the relabelings that keep theta at 0."""
+    p = _census_labelling(leq)
     return star_from_order(leq[p][:, p]).astype(np.uint8).tobytes()
 
 
-def _census_batch(
-    n: int, bits: np.ndarray, offset: int, forms: dict[bytes, bytes]
-) -> dict[bytes, list[int]]:
-    """Map canonical key -> [matrix count, minimal global position].
-
-    `forms` caches bit-packed domination order -> canonical key across
-    batches.
-    """
-    mats = _matrices_from_bits(n, bits)
-    leq = domination_leq(mats)
-    packed = np.packbits(leq.reshape(len(mats), n * n), axis=1)
+def _order_ids(mats: np.ndarray, orders: dict[bytes, int]) -> np.ndarray:
+    """The id of each matrix's domination order in `orders` (bit-packed
+    order -> id, numbered as first seen), adding the orders not yet there."""
+    n = mats.shape[-1]
+    packed = np.packbits(domination_leq(mats).reshape(len(mats), n * n), axis=1)
     uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    counts = np.bincount(inverse, minlength=len(uniq))
-    first_pos = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first_pos, inverse, np.arange(offset, offset + len(mats), dtype=np.int64))
-    classes: dict[bytes, list[int]] = {}
-    for u in range(len(uniq)):
-        order = uniq[u].tobytes()
-        form = forms.get(order)
-        if form is None:
-            leq_u = np.unpackbits(uniq[u], count=n * n).reshape(n, n).astype(bool)
-            form = forms[order] = _census_form(leq_u)
-        _merge(classes, {form: [int(counts[u]), int(first_pos[u])]})
-    return classes
+    ids = [orders.setdefault(row.tobytes(), len(orders)) for row in uniq]
+    return np.array(ids, dtype=np.int64)[inverse.ravel()]
+
+
+def _unpack_order(order: bytes, n: int) -> np.ndarray:
+    bits = np.unpackbits(np.frombuffer(order, dtype=np.uint8), count=n * n)
+    return bits.reshape(n, n).astype(bool)
+
+
+def _new_tally(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per group: a matrix count of 0 and no minimal position yet."""
+    return np.zeros(size, dtype=np.int64), np.full(size, np.iinfo(np.int64).max)
+
+
+def _tally(counts: np.ndarray, first: np.ndarray, group: np.ndarray, count, pos) -> None:
+    """Add `count` matrices at positions `pos` to their groups: counts are
+    summed and the minimal position kept."""
+    np.add.at(counts, group, count)
+    np.minimum.at(first, group, pos)
+
+
+def _classes(forms: list[bytes], counts: np.ndarray, first: np.ndarray) -> dict[bytes, list[int]]:
+    """Map canonical key -> [matrix count, minimal global position], from
+    groups of matrices whose key is forms[g]."""
+    index: dict[bytes, int] = {}
+    key = np.array([index.setdefault(f, len(index)) for f in forms], dtype=np.int64)
+    total, low = _new_tally(len(index))
+    _tally(total, low, key, counts, first)
+    return {f: [c, p] for f, c, p in zip(index, total.tolist(), low.tolist())}
+
+
+def _sampled_worker(payload) -> dict[bytes, list[int]]:
+    """Census classes of the sampled matrices `bits`, the first at global
+    position `start`: one key per distinct domination order."""
+    n, start, bits = payload
+    orders: dict[bytes, int] = {}
+    ids = np.concatenate([
+        _order_ids(_matrices_from_bits(n, bits[lo : lo + _BATCH]), orders)
+        for lo in range(0, len(bits), _BATCH)
+    ])
+    counts, first = _new_tally(len(orders))
+    _tally(counts, first, ids, 1, np.arange(start, start + len(bits)))
+    return _classes([_census_form(_unpack_order(o, n)) for o in orders], counts, first)
+
+
+def _exhaustive_worker(payload) -> dict[bytes, list[int]]:
+    """Census classes of every matrix whose suffix index lies in [start,
+    stop), with row 1 factored out.
+
+    Rows 2..n-1 of a family matrix form a family matrix on m = n-1 elements,
+    its suffix, and the free bits S of row 1 lead the global index:
+    S << free(m) | suffix index.  The order on n elements is the suffix's
+    order plus a new element, 1, that is above theta and nothing else and
+    whose strict up-set is {j : supp(j) within S}.  So each distinct suffix order
+    is labelled canonically once, every up-set of every suffix is mapped
+    through that labelling, and only the distinct (suffix class, up-set)
+    pairs are keyed (McKay, Isomorph-free exhaustive generation, 1998).
+    """
+    n, start, stop = payload
+    m = n - 1
+    free_m = (m - 1) * (m - 2) // 2
+    subsets = np.arange(1 << (m - 1), dtype=np.int64)  # every S
+    # suffix column j >= 1 is matrix column j+1, bit m-1-j of S
+    column_bits = 1 << np.arange(m - 2, -1, -1, dtype=np.int64)
+    orders: dict[bytes, int] = {}
+    blocks = []
+    for lo in range(start, stop, _BATCH):
+        hi = min(lo + _BATCH, stop)
+        bits = _bits_from_indices(np.arange(lo, hi, dtype=np.uint64), free_m)
+        mats = _matrices_from_bits(m, bits)
+        blocks.append((lo, hi, _order_ids(mats, orders), mats[:, 1:, 1:] @ column_bits))
+
+    canonical: dict[bytes, int] = {}
+    suffix_orders = []  # one canonically labelled order per suffix class
+    suffix_class = np.empty(len(orders), dtype=np.int64)
+    labels = np.empty((len(orders), m), dtype=np.int64)
+    for u, order in enumerate(orders):
+        leq = _unpack_order(order, m)
+        p = labels[u] = _census_labelling(leq)
+        leq = leq[p][:, p]
+        if leq.tobytes() not in canonical:
+            canonical[leq.tobytes()] = len(suffix_orders)
+            suffix_orders.append(leq)
+        suffix_class[u] = canonical[leq.tobytes()]
+
+    counts, first = _new_tally(len(suffix_orders) << (m - 1))
+    for lo, hi, ids, supports in blocks:
+        # the supports of canonical elements 1..m-1, in that order
+        support = np.take_along_axis(supports, labels[ids, 1:] - 1, axis=1)
+        upset = np.zeros((hi - lo, len(subsets)), dtype=np.int64)
+        for j in range(m - 1):
+            upset |= ((support[:, j, None] & ~subsets) == 0) << j
+        pair = suffix_class[ids, None] << (m - 1) | upset
+        pos = subsets << free_m | np.arange(lo, hi, dtype=np.int64)[:, None]
+        _tally(counts, first, pair.ravel(), 1, pos.ravel())
+
+    present = np.flatnonzero(counts)
+    rest = np.r_[0, 2:n]
+    forms = []
+    for c, upset in zip((present >> (m - 1)).tolist(), (present & (len(subsets) - 1)).tolist()):
+        leq = np.zeros((n, n), dtype=bool)
+        leq[np.ix_(rest, rest)] = suffix_orders[c]
+        leq[:2, 1] = True
+        leq[1, 2:] = upset >> np.arange(m - 1) & 1
+        forms.append(_census_form(leq))
+    return _classes(forms, counts[present], first[present])
 
 
 def _merge(into: dict[bytes, list[int]], other: dict[bytes, list[int]]) -> None:
@@ -217,22 +311,6 @@ def _merge(into: dict[bytes, list[int]], other: dict[bytes, list[int]]) -> None:
         else:
             entry[0] += count
             entry[1] = min(entry[1], pos)
-
-
-def _census_worker(payload) -> dict[bytes, list[int]]:
-    n, start, stop, width, sample_bits = payload
-    classes: dict[bytes, list[int]] = {}
-    forms: dict[bytes, bytes] = {}
-    pos = start
-    while pos < stop:
-        hi = min(pos + _BATCH, stop)
-        if sample_bits is None:
-            bits = _bits_from_indices(np.arange(pos, hi, dtype=np.uint64), width)
-        else:
-            bits = sample_bits[pos - start : hi - start]
-        _merge(classes, _census_batch(n, bits, pos, forms))
-        pos = hi
-    return classes
 
 
 def _usable_cpus() -> int:
@@ -246,12 +324,16 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     """Partition the all-ones-first upper-triangular matrix family on n
     elements into isomorphism classes of the induced algebras.
 
-    Exhaustive when `sample_count` is None (n <= 7), otherwise a seeded
+    Exhaustive when `sample_count` is None (n <= 8), otherwise a seeded
     uniform sample of free-bit assignments (`seed` >= 0).  Classes are
     grouped and ordered by one key, the lexicographically minimal
     theta-fixing relabeling of their tables (`_census_form`, found by an
     ordered-partition search), so the report is identical for any worker
-    count.  Workers are capped by the usable CPUs and the matrix count.
+    count.  The exhaustive census keys each distinct order of rows 2..n-1
+    once and then each distinct (suffix class, up-set of row 1) pair, not
+    each matrix (see `_exhaustive_worker`); workers split the suffixes.
+    A sample is keyed once per distinct order, and workers split the
+    sample.  Workers are capped by the usable CPUs and the matrix count.
     """
     if n < 2:
         raise UsageError("census needs n >= 2")
@@ -281,18 +363,21 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
         raise UsageError("jobs must be positive")
 
     workers = min(jobs, _usable_cpus(), evaluated)
-    classes: dict[bytes, list[int]] = {}
-    if workers == 1:
-        _merge(classes, _census_worker((n, 0, evaluated, free, sample_bits)))
+    if sample_bits is None:
+        worker, units = _exhaustive_worker, total >> (n - 2)  # the suffixes
     else:
-        bounds = np.linspace(0, evaluated, workers + 1, dtype=np.int64)
-        payloads = []
-        for k in range(workers):
-            start, stop = int(bounds[k]), int(bounds[k + 1])
-            chunk = None if sample_bits is None else sample_bits[start:stop]
-            payloads.append((n, start, stop, free, chunk))
+        worker, units = _sampled_worker, evaluated
+    bounds = np.linspace(0, units, workers + 1, dtype=np.int64).tolist()
+    payloads = [
+        (n, start, stop) if sample_bits is None else (n, start, sample_bits[start:stop])
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    if workers == 1:
+        classes = worker(payloads[0])
+    else:
+        classes = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_census_worker, payloads):
+            for result in pool.map(worker, payloads):
                 _merge(classes, result)
 
     ordered = sorted(classes.items())

@@ -267,6 +267,7 @@ CENSUS_ANCHORS = {
     ("--n", "5"): "d36b3f97be0bab59",
     ("--n", "6"): "1c1e93d7052f3e49",
     ("--n", "7"): "9fb4060a23a84f8f",
+    ("--n", "8"): "6f4e514a05954988",
     ("--n", "8", "--sample", "40", "--seed", "7"): "5e5a3ab7d17edd81",
     ("--n", "9", "--sample", "10", "--seed", "1"): "bdd8a1868a43d15c",
 }
@@ -284,7 +285,7 @@ class TestCensusAnchors:
     def test_anchor(self, capsys, argv):
         assert self.census_sha(capsys, *argv) == CENSUS_ANCHORS[argv]
 
-    @pytest.mark.parametrize("n", ["5", "6"])
+    @pytest.mark.parametrize("n", ["5", "6", "7"])
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_anchor_any_jobs(self, capsys, n, jobs):
         assert self.census_sha(capsys, "--n", n, "--jobs", jobs) == CENSUS_ANCHORS[("--n", n)]

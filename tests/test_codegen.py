@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from bckcodes import codegen
+from bckcodes.posets import domination_leq
 from bckcodes import (
     BlockCode,
+    CensusReport,
     UsageError,
     are_isomorphic,
     census,
@@ -275,7 +277,13 @@ class TestCensus:
 
     def test_exhaustive_limit(self):
         with pytest.raises(UsageError):
-            census(8)
+            census(9)
+        report = _exhaustive_census(8)
+        assert report.class_count == 2045
+        assert sum(report.class_sizes) == report.total_matrices == 2**21
+
+    def test_n8_workers_agree(self):
+        assert census(8, jobs=2) == _exhaustive_census(8)
 
     def test_sample_limit(self):
         with pytest.raises(UsageError):
@@ -319,9 +327,10 @@ def _relabel(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _family_orders(n: int) -> np.ndarray:
-    """Every distinct order of the n-element family: x <= y when the
-    support of matrix row y lies inside that of row x."""
+def _family_matrices(n: int) -> np.ndarray:
+    """Every matrix of the n-element family, in index order: row 0 all
+    ones, unit diagonal, and the free bits of index k read row-major from
+    its most significant bit."""
     width = (n - 1) * (n - 2) // 2
     masks = np.arange(2**width)
     mats = np.zeros((len(masks), n, n), dtype=bool)
@@ -330,8 +339,69 @@ def _family_orders(n: int) -> np.ndarray:
     cells = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
     for b, (i, j) in enumerate(cells):
         mats[:, i, j] = masks >> (width - 1 - b) & 1
+    return mats
+
+
+def _family_orders(n: int) -> np.ndarray:
+    """Every distinct order of the n-element family: x <= y when the
+    support of matrix row y lies inside that of row x."""
+    mats = _family_matrices(n)
     leq = ~(mats[:, None, :, :] & ~mats[:, :, None, :]).any(axis=3)
     return np.unique(leq, axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive_census(n: int) -> CensusReport:
+    return census(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _per_matrix_census(n: int) -> tuple[CensusReport, int]:
+    """Oracle: the census keyed matrix by matrix, and its number of distinct
+    labelled orders.  Every distinct domination order gets `_census_form`;
+    a class is the matrices whose order has its key, listed in key order
+    with the matrix of least index as representative."""
+    mats = _family_matrices(n)
+    leq = domination_leq(mats).reshape(len(mats), n * n)
+    orders, inverse = np.unique(leq, axis=0, return_inverse=True)
+    keys = [codegen._census_form(order.reshape(n, n)) for order in orders]
+    classes: dict[bytes, list[int]] = {}
+    for index, u in enumerate(inverse.ravel().tolist()):
+        classes.setdefault(keys[u], [0, index])[0] += 1
+    ordered = [classes[key] for key in sorted(classes)]
+    reps = tuple(tuple("".join(str(int(b)) for b in row) for row in mats[i]) for _, i in ordered)
+    total = len(mats)
+    report = CensusReport(
+        n=n,
+        free_bits=(n - 1) * (n - 2) // 2,
+        total_matrices=total,
+        evaluated=total,
+        mode="exhaustive",
+        class_count=len(ordered),
+        class_sizes=tuple(size for size, _ in ordered),
+        class_representatives=reps,
+        bound=total,
+        bound_met=len(ordered) >= total,
+    )
+    return report, len(orders)
+
+
+class TestCensusOracle:
+    """The factored census against keying every matrix's order."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_equals_per_matrix_census(self, n):
+        assert _exhaustive_census(n) == _per_matrix_census(n)[0]
+
+    @pytest.mark.parametrize("n,count", [(3, 2), (4, 7), (5, 40), (6, 357), (7, 4824)])
+    def test_distinct_labelled_orders_are_a006455(self, n, count):
+        # naturally labelled posets on n-1 points
+        assert _per_matrix_census(n)[1] == count
+
+    @pytest.mark.parametrize("n,count", [(3, 2), (4, 5), (5, 16), (6, 63), (7, 318), (8, 2045)])
+    def test_class_counts_are_a000112(self, n, count):
+        # unlabelled posets on n-1 points
+        assert _exhaustive_census(n).class_count == count
 
 
 def _induced(leq: np.ndarray) -> np.ndarray:
@@ -431,6 +501,16 @@ class TestConstructionMemory:
 
 
 class TestCensusMemory:
+    def test_exhaustive_n8_stays_under_32mb(self):
+        # one int64 array over all 2^21 (suffix, row-1 choice) pairs is 16 MB
+        tracemalloc.start()
+        try:
+            census(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+
     def test_sampled_n10_stays_under_16mb(self):
         # a brute-force key over all 9! relabelings at n=10 peaks above 600 MB
         tracemalloc.start()
