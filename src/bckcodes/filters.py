@@ -6,12 +6,35 @@ enumeration and maximality rest on one closure step, the deduction theorem
 for Hilbert algebras (Diego, *Sur les algèbres de Hilbert*, 1966): the
 filter generated by a filter D and an element a is {x : a.x in D}, one
 pass over row a.
+
+On a dot table whose transpose is order-induced (`algebra._order_induced`,
+the closed form of `verify_axioms`) the filters are read off the order.
+Lemma: let x <= y iff y.x = 0 be a partial order with 0 least, and let
+x.y = 0 if y <= x, else y.  Then a set is a filter iff it is a nonempty
+down-set.
+  * A filter D holds 0, and for y <= x with x in D it holds x.y = 0, so
+    it holds y: D is a down-set.  A nonempty down-set D holds 0, the least
+    element.  If x and x.y are in D, then either y <= x, or x.y = y; in
+    both cases y is in D, so D is a filter.
+  * The growth step is {x : a.x in D} = D | down(a), since a.x = 0 is in
+    D when x <= a, and a.x = x otherwise.
+  * For n > 1 the maximal proper filters are P - {m}, one for each maximal
+    m: a proper down-set misses some element, hence some maximal element
+    above it.  The radical is P minus its maximal elements; the algebra is
+    semisimple iff every element but 0 is maximal, and local iff exactly
+    one is.
+  * A down-set holding 0 is fixed by its maximal elements in P - {0}, so
+    the filters are counted by the antichains of P - {0}.
+Every other table runs the breadth-first growth on its rows.
 """
 from __future__ import annotations
 
+import math
 import sys
 
-from .algebra import dualize, require_axioms
+import numpy as np
+
+from .algebra import _order_induced, dualize, require_axioms
 from .errors import UsageError
 from .model import DOT, STAR, ClassificationReport, OpTable
 
@@ -19,14 +42,44 @@ from .model import DOT, STAR, ClassificationReport, OpTable
 ENUMERATION_WARN_SIZE = 16
 
 
-def _require_hilbert(h: OpTable) -> None:
+def _require_hilbert(h: OpTable) -> bool:
+    """Raise a UsageError unless h is a Hilbert dot table.  Returns whether
+    the lemma of the module docstring applies; such a table passes the
+    axioms in closed form, and any other is scanned."""
     if h.kind != DOT:
         raise UsageError("filters are defined on dot tables; dualize the star table first")
+    if _order_induced(h.table.T):
+        return True
     require_axioms(h, "hilbert")
+    return False
+
+
+def _enumeration_route(h: OpTable) -> bool:
+    """`_require_hilbert`, and the warning on stderr past
+    ENUMERATION_WARN_SIZE elements that every listing or count of the
+    filters gives."""
+    induced = _require_hilbert(h)
+    if h.n > ENUMERATION_WARN_SIZE:
+        print(f"warning: enumerating filters of a {h.n}-element algebra may be slow", file=sys.stderr)
+    return induced
 
 
 def _pytable(h: OpTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in row) for row in h.table)
+
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a bitmask of its true columns."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _grow(row: tuple[int, ...], mask: int) -> int:
@@ -83,7 +136,7 @@ def generated_filter(h: OpTable, seed) -> frozenset[int]:
     return _mask_to_set(mask, h.n)
 
 
-def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
+def _enumerate_masks(h: OpTable, induced: bool) -> tuple[list[int], list[int]]:
     """Every filter and the maximal proper ones, each in (cardinality,
     bitmask) order.
 
@@ -91,11 +144,19 @@ def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
     proper filter by each element outside it.  Every filter is reached,
     since it is the growth of a smaller filter inside it by one of its
     elements; a proper filter is maximal exactly when every such growth is
-    the carrier.  Warns on stderr past ENUMERATION_WARN_SIZE elements.
+    the carrier.  On an `induced` table a growth is one OR with a down-set.
     """
-    if h.n > ENUMERATION_WARN_SIZE:
-        print(f"warning: enumerating filters of a {h.n}-element algebra may be slow", file=sys.stderr)
-    rows = _pytable(h)
+    if induced:
+        down = _row_masks(h.table == 0)  # row a: {x : a.x = 0} = {x <= a}
+
+        def grow(a: int, mask: int) -> int:
+            return mask | down[a]
+    else:
+        rows = _pytable(h)
+
+        def grow(a: int, mask: int) -> int:
+            return _grow(rows[a], mask)
+
     carrier = (1 << h.n) - 1
     found = {1}
     maximal = []
@@ -106,10 +167,10 @@ def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
             if mask == carrier:
                 continue
             is_maximal = True
-            for a, row in enumerate(rows):
+            for a in range(h.n):
                 if mask >> a & 1:
                     continue
-                grown = _grow(row, mask)
+                grown = grow(a, mask)
                 if grown != carrier:
                     is_maximal = False
                     if grown not in found:
@@ -126,20 +187,89 @@ def _enumerate_masks(h: OpTable) -> tuple[list[int], list[int]]:
     return sorted(found, key=order), sorted(maximal, key=order)
 
 
+def _order_maximal(h: OpTable) -> list[int]:
+    """The maximal proper filters of an induced table: the carrier minus one
+    maximal element m != 0 each, in (cardinality, bitmask) order, which is
+    by decreasing m.  Column m of `h.table == 0` is the up-set of m."""
+    above = (h.table == 0).sum(axis=0)
+    carrier = (1 << h.n) - 1
+    return [carrier ^ 1 << int(m) for m in np.flatnonzero(above[1:] == 1)[::-1] + 1]
+
+
+def _components(comparable: list[int], s: int) -> list[int]:
+    """The connected components of the comparability graph on s."""
+    parts = []
+    while s:
+        part = frontier = s & -s
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached = comparable[low.bit_length() - 1] & s & ~part
+            part |= reached
+            frontier |= reached
+        parts.append(part)
+        s &= ~part
+    return parts
+
+
+def _branches(comparable: list[int], c: int) -> tuple[list[list[int]], int]:
+    """#A(c) for a connected c as `extra` plus a sum over branches of the
+    product of #A over each branch's components.  The antichains through an
+    element comparable to all of c are singletons, so with U the set of
+    those, #A(c) = #A(c - U) + |U|.  Otherwise branch on the element v with
+    most comparable elements N[v] in c: #A(c) = #A(c - v) + #A(c - N[v])."""
+    members = list(_bits(c))
+    degree = [(comparable[v] & c).bit_count() for v in members]
+    universal = sum(1 << v for v, d in zip(members, degree) if d == len(members))
+    if universal:
+        return [_components(comparable, c & ~universal)], universal.bit_count()
+    v = members[degree.index(max(degree))]
+    return [_components(comparable, c & ~(1 << v)), _components(comparable, c & ~comparable[v])], 0
+
+
+def _antichain_count(comparable: list[int], s: int) -> int:
+    """The number of antichains of the elements in s, where comparable[v]
+    holds v and every element comparable to it.  Components multiply; each
+    connected set is split by `_branches`, memoised, and evaluated from an
+    explicit stack, so depth does not grow with the order."""
+    memo: dict[int, int] = {}
+    plans: dict[int, tuple[list[list[int]], int]] = {}
+    roots = _components(comparable, s)
+    stack = list(roots)
+    while stack:
+        c = stack[-1]
+        if c in memo:
+            stack.pop()
+            continue
+        if c not in plans:
+            plans[c] = _branches(comparable, c)
+            missing = [d for branch in plans[c][0] for d in branch if d not in memo]
+            if missing:
+                stack += missing
+                continue
+        branches, extra = plans.pop(c)
+        memo[c] = extra + sum(math.prod(memo[d] for d in branch) for branch in branches)
+        stack.pop()
+    return math.prod(memo[c] for c in roots)
+
+
 def all_filters(h: OpTable) -> list[frozenset[int]]:
     """Every filter, by breadth-first growth from {theta}.
 
     Output order: cardinality, then bitmask value.
     """
-    _require_hilbert(h)
-    return [_mask_to_set(m, h.n) for m in _enumerate_masks(h)[0]]
+    induced = _enumeration_route(h)
+    return [_mask_to_set(m, h.n) for m in _enumerate_masks(h, induced)[0]]
 
 
 def maximal_filters(h: OpTable) -> list[frozenset[int]]:
     """Proper filters maximal under inclusion among proper filters; empty
-    for the one-element algebra."""
-    _require_hilbert(h)
-    return [_mask_to_set(m, h.n) for m in _enumerate_masks(h)[1]]
+    for the one-element algebra.  Read off the order on an induced table."""
+    if _enumeration_route(h):
+        masks = _order_maximal(h)
+    else:
+        masks = _enumerate_masks(h, False)[1]
+    return [_mask_to_set(m, h.n) for m in masks]
 
 
 def classify(h: OpTable) -> ClassificationReport:
@@ -147,15 +277,21 @@ def classify(h: OpTable) -> ClassificationReport:
 
     Star input is dualized first; the dual must then pass the Hilbert
     axioms.  The one-element algebra is reported degenerate with both
-    verdicts not applicable.
+    verdicts not applicable.  On an induced table the maximal filters come
+    from the order and the count from the antichains of P - {theta}.
     """
     if h.kind == STAR:
         h = dualize(h)
-    _require_hilbert(h)
-    masks, maximal = _enumerate_masks(h)
+    if _enumeration_route(h):
+        maximal = _order_maximal(h)
+        zero = h.table == 0
+        count = _antichain_count(_row_masks(zero | zero.T), (1 << h.n) - 2)
+    else:
+        masks, maximal = _enumerate_masks(h, False)
+        count = len(masks)
     if h.n == 1:
         return ClassificationReport(
-            all_filter_count=len(masks),
+            all_filter_count=count,
             maximal_filters=(),
             radical=frozenset({0}),
             is_semisimple=False,
@@ -167,7 +303,7 @@ def classify(h: OpTable) -> ClassificationReport:
         radical_mask &= m
     radical = _mask_to_set(radical_mask, h.n)
     return ClassificationReport(
-        all_filter_count=len(masks),
+        all_filter_count=count,
         maximal_filters=tuple(_mask_to_set(m, h.n) for m in maximal),
         radical=radical,
         is_semisimple=radical == frozenset({0}),

@@ -5,26 +5,36 @@ import pytest
 
 from bckcodes import (
     DOT,
+    STAR,
     BlockCode,
     OpTable,
     UsageError,
     all_filters,
+    bck_order,
     classify,
     direct_algebra,
     dualize,
     embed_code,
     generated_filter,
     is_filter,
+    local_family,
+    local_family_free_bit_count,
     maximal_filters,
     parse_algebra_file,
     semisimple_family,
+    serialize_algebra,
 )
+from bckcodes import filters as F
+from bckcodes.cli import run_command
 
 from conftest import (
+    FIXTURES,
     brute_filters,
     brute_maximal,
     heyting_downsets,
+    labeled_posets,
     posets_up_to_iso,
+    random_codes,
     star_table,
 )
 from golden import (
@@ -291,3 +301,159 @@ class TestHeytingDownsets:
             for seed in seeds:
                 least = frozenset(range(h.n)).intersection(*(f for f in filters if seed <= f))
                 assert generated_filter(h, seed) == least, (h.table, seed)
+
+
+def _induced_duals():
+    """(name, dot table) for every table the order route serves in the
+    oracle tests: the fixtures, both families up to n = 16 and 100 seeded
+    codes with at most 8 words of at most 8 bits, built both ways."""
+    for path in sorted(FIXTURES.glob("*.alg")):
+        t = parse_algebra_file(path.read_text(encoding="utf-8"))
+        yield path.name, dualize(t) if t.kind == STAR else t
+    rng = np.random.default_rng(13)
+    for n in range(2, 17):
+        yield f"semisimple{n}", dualize(direct_algebra(semisimple_family(n)).algebra)
+        free = local_family_free_bit_count(n)
+        for bits in ("0" * free, "1" * free, "".join(map(str, rng.integers(0, 2, free)))):
+            yield f"local{n}:{bits}", dualize(direct_algebra(local_family(n, bits)).algebra)
+    for i, code in enumerate(random_codes(100, seed=1313)):
+        yield f"embedded{i}", dualize(embed_code(code).algebra)
+        yield f"direct{i}", dualize(direct_algebra(code).algebra)
+
+
+class TestOrderRouteMatchesRowGrowth:
+    """On order-induced tables, the maximal filters, radical, verdicts and
+    count read off the order, and the down-set growth of `all_filters`,
+    equal the row-growth breadth-first enumeration of the same table."""
+
+    def test_every_induced_table(self):
+        tables = 0
+        for name, h in _induced_duals():
+            assert F._require_hilbert(h), name
+            found, maximal = F._enumerate_masks(h, False)
+            want_all = [F._mask_to_set(m, h.n) for m in found]
+            want_maximal = [F._mask_to_set(m, h.n) for m in maximal]
+            assert all_filters(h) == want_all, name
+            assert maximal_filters(h) == want_maximal, name
+            report = classify(h)
+            assert report.all_filter_count == len(found), name
+            assert list(report.maximal_filters) == want_maximal, name
+            if h.n > 1:
+                radical = frozenset(range(h.n)).intersection(*want_maximal)
+                assert report.radical == radical, name
+                assert report.is_semisimple == (radical == {0}), name
+                assert report.is_local == (len(want_maximal) == 1), name
+            tables += 1
+        assert tables == 6 + 4 * 15 + 2 * 100
+
+
+def _brute_downset_count(leq: np.ndarray) -> int:
+    """Subsets S of the points with no i outside S below a point of S."""
+    k = len(leq)
+    subsets = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+    above_in_s = subsets.astype(np.int64) @ leq.T.astype(np.int64) > 0  # [S, i]: some p in S has i <= p
+    return int((~(above_in_s & ~subsets)).all(axis=1).sum())
+
+
+def _antichains(leq: np.ndarray) -> int:
+    comparable = F._row_masks(leq | leq.T)
+    return F._antichain_count(comparable, (1 << len(leq)) - 1)
+
+
+def _random_order(rng: np.random.Generator, k: int, density: float) -> np.ndarray:
+    """The transitive closure of a random relation along a random labelling."""
+    rel = np.triu(rng.random((k, k)) < density, 1) | np.eye(k, dtype=bool)
+    for _ in range(k):
+        rel = rel | ((rel.astype(np.int64) @ rel.astype(np.int64)) > 0)
+    perm = rng.permutation(k)
+    return rel[np.ix_(perm, perm)]
+
+
+class TestAntichainCount:
+    """The antichain count against a brute-force count of down-sets, which
+    are in bijection with antichains through their maximal elements."""
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_every_labelled_poset(self, k):
+        for leq in labeled_posets(k):
+            assert _antichains(leq) == _brute_downset_count(leq), leq.astype(int)
+
+    def test_seeded_random_orders(self):
+        rng = np.random.default_rng(2024)
+        split = 0
+        for _ in range(300):
+            k = int(rng.integers(1, 13))
+            leq = _random_order(rng, k, float(rng.choice([0.05, 0.15, 0.3, 0.6])))
+            split += len(F._components(F._row_masks(leq | leq.T), (1 << k) - 1)) > 1
+            assert _antichains(leq) == _brute_downset_count(leq), leq.astype(int)
+        assert split >= 100  # disconnected orders exercise the component product
+
+    def test_empty_order_chain_and_deep_ladder(self):
+        assert F._antichain_count([], 0) == 1
+        assert _antichains(np.triu(np.ones((600, 600), dtype=bool))) == 601
+        # 600 levels of two incomparable points, each level below the next:
+        # each branch removes one level, far past the recursion limit
+        level = np.arange(1200) // 2
+        ladder = (level[:, None] < level[None, :]) | np.eye(1200, dtype=bool)
+        assert _antichains(ladder) == 1 + 1200 + 600
+
+
+class TestOrderRouteSkipsRowGrowth:
+    @pytest.fixture
+    def chain17(self, tmp_path):
+        x, y = np.indices((17, 17))  # the star table of the chain 0 < 1 < ... < 16
+        path = tmp_path / "chain17.alg"
+        path.write_text(serialize_algebra(star_table(np.where(x <= y, 0, x))), encoding="utf-8")
+        return str(path)
+
+    def test_cli_output_unchanged_without_row_growth(self, capsys, monkeypatch, chain17):
+        paths = [str(FIXTURES / "embed9_star.alg"), str(FIXTURES / "local5_star.alg"), chain17]
+        commands = [
+            [*argv, path, *json]
+            for path in paths
+            for argv in (["classify"], ["filters", "--maximal"], ["filters", "--all"])
+            for json in ([], ["--json"])
+        ]
+        before = [(run_command(argv), capsys.readouterr()) for argv in commands]
+
+        def refuse(row, mask):
+            raise AssertionError("the row growth ran on an order-induced table")
+
+        monkeypatch.setattr(F, "_grow", refuse)
+        for argv, (code, captured) in zip(commands, before):
+            assert code == 0, argv
+            assert (run_command(argv), capsys.readouterr()) == (code, captured), argv
+
+    def test_heyting_tables_keep_the_row_growth(self, monkeypatch):
+        calls = []
+        grow = F._grow
+
+        def counted(row, mask):
+            calls.append(mask)
+            return grow(row, mask)
+
+        monkeypatch.setattr(F, "_grow", counted)
+        for k in range(2, 5):
+            for h, _, _ in TestHeytingDownsets.algebras(k):
+                if F._require_hilbert(h):
+                    continue
+                for enumerate_ in (all_filters, maximal_filters, classify):
+                    calls.clear()
+                    enumerate_(h)
+                    assert calls, (enumerate_.__name__, h.table)
+
+
+class TestMaximalFiltersAtCodeScale:
+    def test_embedded_100x100_code(self, capsys):
+        rng = np.random.default_rng(100)
+        code = BlockCode(np.unique(rng.integers(0, 2, (100, 100), dtype=np.uint8), axis=0))
+        star = embed_code(code).algebra
+        n = star.n
+        assert n == 201
+        leq = bck_order(star).leq
+        tops = [m for m in range(1, n) if leq[m].sum() == 1]
+        want = sorted(
+            (frozenset(range(n)) - {m} for m in tops), key=lambda s: (len(s), sum(1 << i for i in s))
+        )
+        assert maximal_filters(dualize(star)) == want
+        assert capsys.readouterr().err == "warning: enumerating filters of a 201-element algebra may be slow\n"
