@@ -3,6 +3,7 @@ families, and the isomorphism census with its matrix-count bound: exhaustive
 up to n = 8 by factoring row 1 out of the enumeration, sampled above."""
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,7 +21,7 @@ from .model import (
     RoundtripReport,
     row_strings,
 )
-from .posets import domination_leq, star_from_order
+from .posets import domination_leq
 
 CENSUS_EXHAUSTIVE_MAX_N = 8
 CENSUS_SAMPLE_MAX_N = 16
@@ -136,57 +137,121 @@ def _matrices_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _census_labelling(leq: np.ndarray) -> np.ndarray:
-    """The relabeling behind `_census_form`: new element k is old element
-    p[k], and p[0] = 0.
+def _twins(up: list[int]) -> list[int]:
+    """Each element's twin class as a bitmask: the elements with its strict
+    up- and down-sets, which an automorphism swaps with it."""
+    n = len(up)
+    down = [0] * n
+    for x, above in enumerate(up):
+        strict = above ^ 1 << x
+        while strict:
+            down[(strict ^ (strict - 1)).bit_length() - 1] |= 1 << x
+            strict &= strict - 1  # drop the lowest bit
+    classes: dict[tuple[int, int], int] = {}
+    for x in range(n):
+        sets = (up[x] ^ 1 << x, down[x])
+        classes[sets] = classes.get(sets, 0) | 1 << x
+    return [classes[(up[x] ^ 1 << x, down[x])] for x in range(n)]
 
-    Relabeled by p, entry (i, j) of the census table is 0 if p_i <= p_j and
-    i otherwise.  The search is individualization-refinement (McKay &
-    Piperno, Practical graph isomorphism II, 2014) on an ordered partition
-    of the unplaced elements: p_k is picked from the first cell, then every
-    cell is split into the elements above p_k followed by the others, which
-    fixes row k.  Every state whose row k is minimal goes on to the next
-    level.  Twins (equal strict up- and down-sets) are swapped by an
-    automorphism, so one per twin class is tried in a cell.
+
+def _census_labelling(up: list[int]) -> tuple[list[int], int]:
+    """The relabeling behind the census key of an order, and the key.
+
+    Bit y of up[x] says x <= y, and theta = 0 is below every element.  New
+    element k is old element p[k], and p[0] = 0.  Relabeled by p, entry
+    (i, j) of the census table is 0 if p_i <= p_j and i otherwise; the key
+    is that table's rows 1..n-1 with each entry written as one bit (1 where
+    it is i), concatenated as an int.  Keys of one n compare as the table
+    bytes do, and p makes the table lexicographically minimal.
+
+    The search is individualization-refinement (McKay & Piperno, Practical
+    graph isomorphism II, 2014) on an ordered partition of the unplaced
+    elements, each cell a bitmask: p_k is picked from the first cell, then
+    every cell is split into the elements above p_k followed by the others,
+    which fixes row k.  Every state whose row k is minimal goes on to the
+    next level.  Twins are swapped by an automorphism, so one per twin class
+    is tried in a cell.
+
+    Masks are taken as `full ^ mask`, never `~mask`: non-negative masks of
+    n <= 8 bits are Python's cached small ints, and under tracemalloc (the
+    memory tests) each int allocated here costs a scan of this function's
+    line table.
     """
-    n = len(leq)
-    weights = 1 << np.arange(n, dtype=np.int64)
-    up = (leq @ weights).tolist()
-    down = (leq.T @ weights).tolist()
-    twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
-    states = [((0,), [list(range(1, n))])]
-    for _ in range(1, n):
+    n = len(up)
+    full = (1 << n) - 1
+    others = [full ^ twins for twins in _twins(up)]
+    key = 0
+    states = [((0,), full ^ 1, [])]  # (placed, first cell, later cells)
+    for k in range(1, n):
         best, kept = None, []
-        for placed, (first, *rest) in states:
-            tried = set()
-            for x in first:
-                if twin[x] in tried:
+        for placed, first, rest in states:
+            todo = first
+            while todo:
+                x = (todo ^ (todo - 1)).bit_length() - 1  # its lowest element
+                todo &= others[x]
+                below = full ^ up[x]  # bit y: x is not <= y
+                row = 0
+                for y in placed:
+                    row = row << 1 | (below >> y & 1)
+                row <<= 1  # x <= x reads 0
+                if best is not None and row > best >> (n - 1 - k):
                     continue
-                tried.add(twin[x])
-                above = up[x]
-                order = (*placed, x)
-                # 1 where row k holds 0: the most leading 1s is the minimal row
-                row = [above >> y & 1 for y in order]
-                cells = []
-                for cell in ([y for y in first if y != x], *rest):
-                    hi = [y for y in cell if above >> y & 1]
-                    lo = [y for y in cell if not above >> y & 1]
-                    cells += [c for c in (hi, lo) if c]
-                    row += [1] * len(hi) + [0] * len(lo)
-                if best is None or row > best:
+                # each cell's elements above x come first and read 0
+                cells = [first ^ 1 << x, *rest]
+                for cell in cells:
+                    row = row << cell.bit_count() | ((1 << (cell & below).bit_count()) - 1)
+                if best is None or row < best:
                     best, kept = row, []
                 if row == best:
-                    kept.append((order, cells))
-        states = kept
-    return np.array(states[0][0])
+                    kept.append(((*placed, x), below, cells))
+        key = key << n | best
+        states = []
+        for placed, below, cells in kept:
+            split = []
+            for cell in cells:
+                lo = cell & below
+                if lo != cell:
+                    split.append(cell ^ lo)
+                if lo:
+                    split.append(lo)
+            states.append((placed, split[0] if split else 0, split[1:]))
+    return list(states[0][0]), key
+
+
+def _up_masks(leq: np.ndarray) -> np.ndarray:
+    """Bit y of mask x says x <= y, for an order or a batch of them."""
+    return leq @ (1 << np.arange(leq.shape[-1], dtype=np.int64))
+
+
+def _form_bytes(key: int, n: int) -> bytes:
+    """The census table that the key of an n-element order stands for."""
+    bits = f"{key:0{n * (n - 1)}b}"
+    return bytes(n) + bytes(i // n + 1 if b == "1" else 0 for i, b in enumerate(bits))
 
 
 def _census_form(leq: np.ndarray) -> bytes:
     """Canonical key of the census algebra on the order `leq` (theta = 0,
     x * y = 0 if x <= y else x): its lexicographically minimal row-major
     table over the relabelings that keep theta at 0."""
-    p = _census_labelling(leq)
-    return star_from_order(leq[p][:, p]).astype(np.uint8).tobytes()
+    return _form_bytes(_census_labelling(_up_masks(leq).tolist())[1], len(leq))
+
+
+# The census maps these two over chunks of distinct orders, in a pool or not.
+def _labellings(ups: list[list[int]]) -> list[tuple[list[int], int]]:
+    return [_census_labelling(up) for up in ups]
+
+
+def _pair_keys(pairs: list[tuple[list[int], int]]) -> list[int]:
+    """The key of each (suffix, up-set) pair.  Its order on n elements is
+    the suffix's canonically labelled order with elements 1.. renamed 2..,
+    plus a new element 1 above theta alone; bit j of the up-set says that
+    1 is below suffix element j+1."""
+    keys = []
+    for suffix, upset in pairs:
+        n = len(suffix) + 1
+        up = [(1 << n) - 1, 2 | upset << 2, *(above << 1 for above in suffix[1:])]
+        keys.append(_census_labelling(up)[1])
+    return keys
 
 
 def _order_ids(mats: np.ndarray, orders: dict[bytes, int]) -> np.ndarray:
@@ -199,9 +264,10 @@ def _order_ids(mats: np.ndarray, orders: dict[bytes, int]) -> np.ndarray:
     return np.array(ids, dtype=np.int64)[inverse.ravel()]
 
 
-def _unpack_order(order: bytes, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(order, dtype=np.uint8), count=n * n)
-    return bits.reshape(n, n).astype(bool)
+def _order_masks(orders: dict[bytes, int], n: int) -> list[list[int]]:
+    """The up-masks of every order in `orders`, in id order."""
+    packed = np.frombuffer(b"".join(orders), dtype=np.uint8).reshape(len(orders), -1)
+    return _up_masks(np.unpackbits(packed, axis=1, count=n * n).reshape(-1, n, n)).tolist()
 
 
 def _new_tally(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,33 +282,49 @@ def _tally(counts: np.ndarray, first: np.ndarray, group: np.ndarray, count, pos)
     np.minimum.at(first, group, pos)
 
 
-def _classes(forms: list[bytes], counts: np.ndarray, first: np.ndarray) -> dict[bytes, list[int]]:
-    """Map canonical key -> [matrix count, minimal global position], from
-    groups of matrices whose key is forms[g]."""
-    index: dict[bytes, int] = {}
-    key = np.array([index.setdefault(f, len(index)) for f in forms], dtype=np.int64)
+def _classes(keys: list[int], counts: np.ndarray, first: np.ndarray) -> dict[int, list[int]]:
+    """Map census key -> [matrix count, minimal global position], from
+    groups of matrices whose key is keys[g]."""
+    index: dict[int, int] = {}
+    group = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.int64)
     total, low = _new_tally(len(index))
-    _tally(total, low, key, counts, first)
-    return {f: [c, p] for f, c, p in zip(index, total.tolist(), low.tolist())}
+    _tally(total, low, group, counts, first)
+    return {k: [c, p] for k, c, p in zip(index, total.tolist(), low.tolist())}
 
 
-def _sampled_worker(payload) -> dict[bytes, list[int]]:
-    """Census classes of the sampled matrices `bits`, the first at global
-    position `start`: one key per distinct domination order."""
-    n, start, bits = payload
+def _sampled_classes(n: int, bits: np.ndarray, keyer) -> dict[int, list[int]]:
+    """Census classes of the sampled matrices `bits`: one key per distinct
+    domination order.  keyer(fn, items) is fn(items), in this process or
+    split over a pool."""
     orders: dict[bytes, int] = {}
     ids = np.concatenate([
         _order_ids(_matrices_from_bits(n, bits[lo : lo + _BATCH]), orders)
         for lo in range(0, len(bits), _BATCH)
     ])
     counts, first = _new_tally(len(orders))
-    _tally(counts, first, ids, 1, np.arange(start, start + len(bits)))
-    return _classes([_census_form(_unpack_order(o, n)) for o in orders], counts, first)
+    _tally(counts, first, ids, 1, np.arange(len(bits)))
+    keys = [key for _, key in keyer(_labellings, _order_masks(orders, n))]
+    return _classes(keys, counts, first)
 
 
-def _exhaustive_worker(payload) -> dict[bytes, list[int]]:
-    """Census classes of every matrix whose suffix index lies in [start,
-    stop), with row 1 factored out.
+def _suffix_classes(ups: list[list[int]], keyer) -> tuple[np.ndarray, np.ndarray, list]:
+    """Label each distinct suffix order canonically: its labelling p and
+    class per order (rows in id order), and the canonically labelled
+    up-masks of one order per class."""
+    labellings = keyer(_labellings, ups)
+    canonical: dict[int, int] = {}
+    suffixes = []
+    for up, (p, key) in zip(ups, labellings):
+        if key not in canonical:
+            canonical[key] = len(suffixes)
+            suffixes.append([sum(1 << j for j, y in enumerate(p) if up[x] >> y & 1) for x in p])
+    labels = np.array([p for p, _ in labellings], dtype=np.int64).reshape(len(ups), -1)
+    suffix_class = np.array([canonical[key] for _, key in labellings], dtype=np.int64)
+    return labels, suffix_class, suffixes
+
+
+def _exhaustive_classes(n: int, keyer) -> dict[int, list[int]]:
+    """Census classes of every matrix, with row 1 factored out.
 
     Rows 2..n-1 of a family matrix form a family matrix on m = n-1 elements,
     its suffix, and the free bits S of row 1 lead the global index:
@@ -253,7 +335,6 @@ def _exhaustive_worker(payload) -> dict[bytes, list[int]]:
     through that labelling, and only the distinct (suffix class, up-set)
     pairs are keyed (McKay, Isomorph-free exhaustive generation, 1998).
     """
-    n, start, stop = payload
     m = n - 1
     free_m = (m - 1) * (m - 2) // 2
     subsets = np.arange(1 << (m - 1), dtype=np.int64)  # every S
@@ -261,26 +342,14 @@ def _exhaustive_worker(payload) -> dict[bytes, list[int]]:
     column_bits = 1 << np.arange(m - 2, -1, -1, dtype=np.int64)
     orders: dict[bytes, int] = {}
     blocks = []
-    for lo in range(start, stop, _BATCH):
-        hi = min(lo + _BATCH, stop)
+    for lo in range(0, 1 << free_m, _BATCH):
+        hi = min(lo + _BATCH, 1 << free_m)
         bits = _bits_from_indices(np.arange(lo, hi, dtype=np.uint64), free_m)
         mats = _matrices_from_bits(m, bits)
         blocks.append((lo, hi, _order_ids(mats, orders), mats[:, 1:, 1:] @ column_bits))
 
-    canonical: dict[bytes, int] = {}
-    suffix_orders = []  # one canonically labelled order per suffix class
-    suffix_class = np.empty(len(orders), dtype=np.int64)
-    labels = np.empty((len(orders), m), dtype=np.int64)
-    for u, order in enumerate(orders):
-        leq = _unpack_order(order, m)
-        p = labels[u] = _census_labelling(leq)
-        leq = leq[p][:, p]
-        if leq.tobytes() not in canonical:
-            canonical[leq.tobytes()] = len(suffix_orders)
-            suffix_orders.append(leq)
-        suffix_class[u] = canonical[leq.tobytes()]
-
-    counts, first = _new_tally(len(suffix_orders) << (m - 1))
+    labels, suffix_class, suffixes = _suffix_classes(_order_masks(orders, m), keyer)
+    counts, first = _new_tally(len(suffixes) << (m - 1))
     for lo, hi, ids, supports in blocks:
         # the supports of canonical elements 1..m-1, in that order
         support = np.take_along_axis(supports, labels[ids, 1:] - 1, axis=1)
@@ -292,25 +361,18 @@ def _exhaustive_worker(payload) -> dict[bytes, list[int]]:
         _tally(counts, first, pair.ravel(), 1, pos.ravel())
 
     present = np.flatnonzero(counts)
-    rest = np.r_[0, 2:n]
-    forms = []
-    for c, upset in zip((present >> (m - 1)).tolist(), (present & (len(subsets) - 1)).tolist()):
-        leq = np.zeros((n, n), dtype=bool)
-        leq[np.ix_(rest, rest)] = suffix_orders[c]
-        leq[:2, 1] = True
-        leq[1, 2:] = upset >> np.arange(m - 1) & 1
-        forms.append(_census_form(leq))
-    return _classes(forms, counts[present], first[present])
+    pairs = [
+        (suffixes[c], upset)
+        for c, upset in zip((present >> (m - 1)).tolist(), (present & (len(subsets) - 1)).tolist())
+    ]
+    return _classes(keyer(_pair_keys, pairs), counts[present], first[present])
 
 
-def _merge(into: dict[bytes, list[int]], other: dict[bytes, list[int]]) -> None:
-    for key, (count, pos) in other.items():
-        entry = into.get(key)
-        if entry is None:
-            into[key] = [count, pos]
-        else:
-            entry[0] += count
-            entry[1] = min(entry[1], pos)
+def _pooled(pool, workers: int, fn, items: list) -> list:
+    """fn over `workers` contiguous chunks of items in the pool, flattened."""
+    bounds = np.linspace(0, len(items), workers + 1, dtype=np.int64).tolist()
+    chunks = pool.map(fn, [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    return [out for chunk in chunks for out in chunk]
 
 
 def _usable_cpus() -> int:
@@ -327,13 +389,14 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     Exhaustive when `sample_count` is None (n <= 8), otherwise a seeded
     uniform sample of free-bit assignments (`seed` >= 0).  Classes are
     grouped and ordered by one key, the lexicographically minimal
-    theta-fixing relabeling of their tables (`_census_form`, found by an
-    ordered-partition search), so the report is identical for any worker
-    count.  The exhaustive census keys each distinct order of rows 2..n-1
-    once and then each distinct (suffix class, up-set of row 1) pair, not
-    each matrix (see `_exhaustive_worker`); workers split the suffixes.
-    A sample is keyed once per distinct order, and workers split the
-    sample.  Workers are capped by the usable CPUs and the matrix count.
+    theta-fixing relabeling of their tables (`_census_labelling`, an
+    ordered-partition search on bitmasks), so the report is identical for
+    any worker count.  The exhaustive census keys each distinct order of
+    rows 2..n-1 once and then each distinct (suffix class, up-set of row 1)
+    pair, not each matrix (see `_exhaustive_classes`); a sample is keyed
+    once per distinct order.  This process enumerates and tallies; workers
+    only key the distinct orders, so each is keyed once for any worker
+    count.  Workers are capped by the usable CPUs and the matrix count.
     """
     if n < 2:
         raise UsageError("census needs n >= 2")
@@ -364,31 +427,22 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
 
     workers = min(jobs, _usable_cpus(), evaluated)
     if sample_bits is None:
-        worker, units = _exhaustive_worker, total >> (n - 2)  # the suffixes
+        search = functools.partial(_exhaustive_classes, n)
     else:
-        worker, units = _sampled_worker, evaluated
-    bounds = np.linspace(0, units, workers + 1, dtype=np.int64).tolist()
-    payloads = [
-        (n, start, stop) if sample_bits is None else (n, start, sample_bits[start:stop])
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+        search = functools.partial(_sampled_classes, n, sample_bits)
     if workers == 1:
-        classes = worker(payloads[0])
+        classes = search(lambda fn, items: fn(items))
     else:
-        classes = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(worker, payloads):
-                _merge(classes, result)
+            classes = search(functools.partial(_pooled, pool, workers))
 
     ordered = sorted(classes.items())
     sizes = tuple(count for _, (count, _) in ordered)
-    reps = []
-    for _, (_, pos) in ordered:
-        if sample_bits is None:
-            bits = _bits_from_indices(np.array([pos], dtype=np.uint64), free)
-        else:
-            bits = sample_bits[pos : pos + 1]
-        reps.append(row_strings(_matrices_from_bits(n, bits)[0]))
+    positions = np.array([pos for _, (_, pos) in ordered], dtype=np.int64)
+    if sample_bits is None:
+        bits = _bits_from_indices(positions.astype(np.uint64), free)
+    else:
+        bits = sample_bits[positions]
     return CensusReport(
         n=n,
         free_bits=free,
@@ -397,7 +451,7 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
         mode=mode,
         class_count=len(ordered),
         class_sizes=sizes,
-        class_representatives=tuple(reps),
+        class_representatives=tuple(row_strings(mat) for mat in _matrices_from_bits(n, bits)),
         bound=total,
         bound_met=len(ordered) >= total,
     )

@@ -118,7 +118,7 @@ class BlockCode:
             row = values[int(bad.any(axis=1).argmax())]
             raise UsageError(f"codeword bits must be 0 or 1, got {tuple(row.tolist())}")
         arr = _frozen_array(values, np.uint8)
-        if len(np.unique(arr, axis=0)) != len(arr):
+        if len({row.tobytes() for row in arr}) != len(arr):
             raise UsageError("block code contains duplicate codewords")
         object.__setattr__(self, "matrix", arr)
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import os
@@ -481,6 +482,49 @@ class TestCensusForm:
         self.check([_induced(_poset_leq(9, covers))], seed=len(covers))
 
 
+class TestCensusKeys:
+    """The bitmask path of the census key: the labelling's relabeling and
+    key, and the (suffix, up-set) pair orders built with shifts."""
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            [(k, k + 1) for k in range(1, 8)],  # chain
+            [],  # antichain
+            [(a, 5 + (a - 1 + d) % 4) for a in range(1, 5) for d in (0, 1)],  # 8-crown
+            [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)],  # two 4-chains
+        ],
+        ids=["chain", "antichain", "crown", "two-4-chains"],
+    )
+    def test_twin_heavy_labelling_against_brute_force(self, covers):
+        leq = _poset_leq(9, covers)
+        want = _brute_lexmin(_induced(leq))
+        p, key = codegen._census_labelling(codegen._up_masks(leq).tolist())
+        assert codegen._form_bytes(key, 9) == want
+        assert p[0] == 0 and sorted(p) == list(range(9))
+        assert _induced(leq[np.ix_(p, p)]).astype(np.uint8).tobytes() == want
+
+    def test_every_n8_pair_order_keys_as_built_with_numpy(self, monkeypatch):
+        seen = []
+        pair_keys = codegen._pair_keys
+
+        def recording(pairs):
+            keys = pair_keys(pairs)
+            seen.extend(zip(pairs, keys))
+            return keys
+
+        monkeypatch.setattr(codegen, "_pair_keys", recording)
+        census(8)
+        assert len(seen) == 5439
+        rest = np.r_[0, 2:8]
+        for (suffix, upset), key in seen:
+            leq = np.zeros((8, 8), dtype=bool)
+            leq[np.ix_(rest, rest)] = np.array(suffix)[:, None] >> np.arange(7) & 1
+            leq[:2, 1] = True
+            leq[1, 2:] = upset >> np.arange(6) & 1
+            assert codegen._census_form(leq) == codegen._form_bytes(key, 8), (suffix, upset)
+
+
 class TestConstructionMemory:
     @pytest.mark.parametrize("build", [embed_code, roundtrip_check])
     def test_n201_stays_under_4mb(self, build):
@@ -565,6 +609,22 @@ class TestCensusJobs:
         monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
         assert census(8, sample_count=40, seed=7, jobs=4) == census(8, sample_count=40, seed=7)
         assert pools == [4]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_each_distinct_order_keyed_once_for_any_jobs(self, pools, monkeypatch, jobs):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
+        sizes = collections.Counter()
+        labelling = codegen._census_labelling
+
+        def counting(up):
+            sizes[len(up)] += 1
+            return labelling(up)
+
+        monkeypatch.setattr(codegen, "_census_labelling", counting)
+        census(8, jobs=jobs)
+        # 4,824 distinct suffix orders, then 5,439 (suffix class, up-set) pairs
+        assert sizes == {7: 4824, 8: 5439}
+        assert pools == ([] if jobs == 1 else [jobs])
 
     def test_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):

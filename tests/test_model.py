@@ -30,6 +30,7 @@ class TestBlockCode:
             ([[-1, 0]], "0 or 1"),
             ([[0.5, 1]], "0 or 1"),
             ([[0, 1], [0, 1]], "duplicate"),
+            ([[0, 1], [1, 1], [1, 0], [1, 1]], "duplicate"),
         ],
     )
     def test_invalid_matrix_rejected(self, rows, message):
