@@ -137,137 +137,149 @@ def _matrices_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _twins(up: list[int]) -> list[int]:
-    """Each element's twin class as a bitmask: the elements with its strict
-    up- and down-sets, which an automorphism swaps with it."""
-    n = len(up)
-    down = [0] * n
-    for x, above in enumerate(up):
-        strict = above ^ 1 << x
-        while strict:
-            down[(strict ^ (strict - 1)).bit_length() - 1] |= 1 << x
-            strict &= strict - 1  # drop the lowest bit
-    classes: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        sets = (up[x] ^ 1 << x, down[x])
-        classes[sets] = classes.get(sets, 0) | 1 << x
-    return [classes[(up[x] ^ 1 << x, down[x])] for x in range(n)]
+def _census_labellings(up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The relabeling behind the census key of each order of a batch, and
+    the key's rows.
 
-
-def _census_labelling(up: list[int]) -> tuple[list[int], int]:
-    """The relabeling behind the census key of an order, and the key.
-
-    Bit y of up[x] says x <= y, and theta = 0 is below every element.  New
-    element k is old element p[k], and p[0] = 0.  Relabeled by p, entry
-    (i, j) of the census table is 0 if p_i <= p_j and i otherwise; the key
-    is that table's rows 1..n-1 with each entry written as one bit (1 where
-    it is i), concatenated as an int.  Keys of one n compare as the table
-    bytes do, and p makes the table lexicographically minimal.
+    Bit y of up[b, x] says x <= y in order b, and theta = 0 is below every
+    element.  New element k of order b is old element p[b, k], and
+    p[b, 0] = 0.  Relabeled by p, entry (i, j) of the census table is 0 if
+    p_i <= p_j and i otherwise; rows[b, i] is that table's row i with each
+    entry written as one bit (1 where it is i), entry 0 the highest.  Rows
+    of one n compare, in turn, as the table bytes do, and p makes the table
+    lexicographically minimal.
 
     The search is individualization-refinement (McKay & Piperno, Practical
     graph isomorphism II, 2014) on an ordered partition of the unplaced
     elements, each cell a bitmask: p_k is picked from the first cell, then
     every cell is split into the elements above p_k followed by the others,
-    which fixes row k.  Every state whose row k is minimal goes on to the
-    next level.  Twins are swapped by an automorphism, so one per twin class
-    is tried in a cell.
-
-    Masks are taken as `full ^ mask`, never `~mask`: non-negative masks of
-    n <= 8 bits are Python's cached small ints, and under tracemalloc (the
-    memory tests) each int allocated here costs a scan of this function's
-    line table.
+    which fixes row k.  Every state whose row k is minimal for its order
+    goes on to the next level.  Twins are swapped by an automorphism, so one
+    per twin class is tried in a cell.  It runs level by level over the
+    whole batch: a state is an order id, its placed prefix and its cells
+    (as wide as the most cells any state has), and the states of one order
+    sit next to each other, in the order a depth-first search meets them.
     """
-    n = len(up)
+    up = np.asarray(up, dtype=np.int32)
+    count, n = up.shape
+    bit = np.left_shift(1, np.arange(n, dtype=np.int32))
     full = (1 << n) - 1
-    others = [full ^ twins for twins in _twins(up)]
-    key = 0
-    states = [((0,), full ^ 1, [])]  # (placed, first cell, later cells)
+    pop = np.zeros(1 << n, dtype=np.int32)  # popcount of every mask
+    for i in range(n):
+        pop[1 << i : 2 << i] = pop[: 1 << i] + 1
+    # twins have equal strict up- and down-sets
+    strict_up = up ^ bit
+    strict_down = bit @ (up[:, :, None] >> np.arange(n, dtype=np.int32) & 1) ^ bit
+    twin = strict_up[:, :, None] == strict_up[:, None]
+    twin &= strict_down[:, :, None] == strict_down[:, None]
+    # x is a candidate in a cell that holds it and none of its lower twins
+    mine = twin @ bit & (bit << 1) - 1
+
+    ids = np.arange(count)
+    order = ids
+    placed = np.zeros((count, n), dtype=np.int32)
+    cells = np.full((count, 1), full ^ 1, dtype=np.int32)
+    rows = np.zeros((count, n), dtype=np.int32)
     for k in range(1, n):
-        best, kept = None, []
-        for placed, first, rest in states:
-            todo = first
-            while todo:
-                x = (todo ^ (todo - 1)).bit_length() - 1  # its lowest element
-                todo &= others[x]
-                below = full ^ up[x]  # bit y: x is not <= y
-                row = 0
-                for y in placed:
-                    row = row << 1 | (below >> y & 1)
-                row <<= 1  # x <= x reads 0
-                if best is not None and row > best >> (n - 1 - k):
-                    continue
-                # each cell's elements above x come first and read 0
-                cells = [first ^ 1 << x, *rest]
-                for cell in cells:
-                    row = row << cell.bit_count() | ((1 << (cell & below).bit_count()) - 1)
-                if best is None or row < best:
-                    best, kept = row, []
-                if row == best:
-                    kept.append(((*placed, x), below, cells))
-        key = key << n | best
-        states = []
-        for placed, below, cells in kept:
-            split = []
-            for cell in cells:
-                lo = cell & below
-                if lo != cell:
-                    split.append(cell ^ lo)
-                if lo:
-                    split.append(lo)
-            states.append((placed, split[0] if split else 0, split[1:]))
-    return list(states[0][0]), key
+        state, x = np.nonzero(cells[:, :1] & mine[order] == bit)
+        who = order[state]
+        below = full ^ up[who, x, None]  # bit y: x is not <= y
+        # the row's first k + 1 bits: the placed prefix, then x <= x reads 0
+        prefix = (below >> placed[state, :k] & 1) @ bit[k:0:-1]
+        keep = prefix == np.minimum.reduceat(prefix, np.searchsorted(who, ids))[who]
+        state, x, who, below, prefix = state[keep], x[keep], who[keep], below[keep], prefix[keep]
+        # each cell's elements above x come first and read 0
+        split = cells[state]
+        split[:, 0] ^= bit[x]
+        lo = split & below
+        after = n - 1 - k - np.cumsum(pop[split], axis=1, dtype=np.int32)
+        row = prefix << (n - 1 - k) | ((1 << pop[lo]) - 1 << after).sum(axis=1, dtype=np.int32)
+        rows[:, k] = np.minimum.reduceat(row, np.searchsorted(who, ids))
+        win = row == rows[who, k]
+        order, lo = who[win], lo[win]
+        placed = placed[state[win]]
+        placed[:, k] = x[win]
+        # the split cells, empty ones dropped, compacted to the left
+        halves = np.concatenate(((split[win] ^ lo)[:, :, None], lo[:, :, None]), axis=2)
+        halves = halves.reshape(len(order), 2 * lo.shape[1])
+        live = halves != 0
+        slot = np.cumsum(live, axis=1) - 1
+        cells = np.zeros((len(order), slot[:, -1].max(initial=0) + 1), dtype=np.int32)
+        cells[np.nonzero(live)[0], slot[live]] = halves[live]
+    return placed[np.searchsorted(order, ids)], rows
 
 
 def _up_masks(leq: np.ndarray) -> np.ndarray:
     """Bit y of mask x says x <= y, for an order or a batch of them."""
-    return leq @ (1 << np.arange(leq.shape[-1], dtype=np.int64))
+    return leq @ np.left_shift(1, np.arange(leq.shape[-1], dtype=np.int32))
 
 
-def _form_bytes(key: int, n: int) -> bytes:
-    """The census table that the key of an n-element order stands for."""
-    bits = f"{key:0{n * (n - 1)}b}"
-    return bytes(n) + bytes(i // n + 1 if b == "1" else 0 for i, b in enumerate(bits))
+def _form_bytes(rows: np.ndarray) -> bytes:
+    """The census table that the key rows of one order stand for."""
+    n = len(rows)
+    bits = rows[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return (bits * np.arange(n)[:, None]).astype(np.uint8).tobytes()
 
 
 def _census_form(leq: np.ndarray) -> bytes:
     """Canonical key of the census algebra on the order `leq` (theta = 0,
     x * y = 0 if x <= y else x): its lexicographically minimal row-major
     table over the relabelings that keep theta at 0."""
-    return _form_bytes(_census_labelling(_up_masks(leq).tolist())[1], len(leq))
+    return _form_bytes(_census_labellings(_up_masks(leq)[None])[1][0])
 
 
-# The census maps these two over chunks of distinct orders, in a pool or not.
-def _labellings(ups: list[list[int]]) -> list[tuple[list[int], int]]:
-    return [_census_labelling(up) for up in ups]
+def _groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of the 2-D array `a`: the first index of each group, the
+    groups in lexicographic order of their rows, and each row's group."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(a), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
 
 
-def _pair_keys(pairs: list[tuple[list[int], int]]) -> list[int]:
-    """The key of each (suffix, up-set) pair.  Its order on n elements is
-    the suffix's canonically labelled order with elements 1.. renamed 2..,
-    plus a new element 1 above theta alone; bit j of the up-set says that
-    1 is below suffix element j+1."""
-    keys = []
-    for suffix, upset in pairs:
-        n = len(suffix) + 1
-        up = [(1 << n) - 1, 2 | upset << 2, *(above << 1 for above in suffix[1:])]
-        keys.append(_census_labelling(up)[1])
-    return keys
+def _keyed(mapper, workers: int, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_census_labellings` of a batch of orders, mapped by `mapper` (`map`
+    or a pool's) over at least `workers` contiguous chunks of at most
+    _BATCH orders.  A chunk may be empty."""
+    parts = max(workers, -(-len(up) // _BATCH))
+    bounds = np.linspace(0, len(up), parts + 1, dtype=np.int64).tolist()
+    out = list(mapper(_census_labellings, [up[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
+    return np.concatenate([p for p, _ in out]), np.concatenate([rows for _, rows in out])
+
+
+def _pair_keys(suffixes: np.ndarray, suffix_class: np.ndarray, upset: np.ndarray, keyer) -> np.ndarray:
+    """The key rows of each (suffix class, up-set) pair.  Its order on n
+    elements is the suffix's canonically labelled order with elements 1..
+    renamed 2.., plus a new element 1 above theta alone; bit j of the up-set
+    says that 1 is below suffix element j+1."""
+    n = suffixes.shape[1] + 1
+    up = np.empty((len(upset), n), dtype=np.int32)
+    up[:, 0] = (1 << n) - 1
+    up[:, 1] = 2 | upset << 2
+    up[:, 2:] = suffixes[suffix_class, 1:] << 1
+    return keyer(up)[1]
 
 
 def _order_ids(mats: np.ndarray, orders: dict[bytes, int]) -> np.ndarray:
     """The id of each matrix's domination order in `orders` (bit-packed
-    order -> id, numbered as first seen), adding the orders not yet there."""
+    order -> id, numbered as first seen), adding the orders not yet there.
+    The packed orders are deduplicated as big-endian 64-bit words."""
     n = mats.shape[-1]
     packed = np.packbits(domination_leq(mats).reshape(len(mats), n * n), axis=1)
-    uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
-    ids = [orders.setdefault(row.tobytes(), len(orders)) for row in uniq]
-    return np.array(ids, dtype=np.int64)[inverse.ravel()]
+    words = np.zeros((len(mats), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    first, group = _groups(words.view(">u8"))
+    ids = [orders.setdefault(packed[i].tobytes(), len(orders)) for i in first.tolist()]
+    return np.array(ids, dtype=np.int64)[group]
 
 
-def _order_masks(orders: dict[bytes, int], n: int) -> list[list[int]]:
+def _order_masks(orders: dict[bytes, int], n: int) -> np.ndarray:
     """The up-masks of every order in `orders`, in id order."""
     packed = np.frombuffer(b"".join(orders), dtype=np.uint8).reshape(len(orders), -1)
-    return _up_masks(np.unpackbits(packed, axis=1, count=n * n).reshape(-1, n, n)).tolist()
+    return _up_masks(np.unpackbits(packed, axis=1, count=n * n).reshape(-1, n, n))
 
 
 def _new_tally(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,20 +294,19 @@ def _tally(counts: np.ndarray, first: np.ndarray, group: np.ndarray, count, pos)
     np.minimum.at(first, group, pos)
 
 
-def _classes(keys: list[int], counts: np.ndarray, first: np.ndarray) -> dict[int, list[int]]:
-    """Map census key -> [matrix count, minimal global position], from
-    groups of matrices whose key is keys[g]."""
-    index: dict[int, int] = {}
-    group = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.int64)
-    total, low = _new_tally(len(index))
+def _classes(rows: np.ndarray, counts: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix count and minimal global position of each census class,
+    in key order, from groups of matrices whose key rows are rows[g]."""
+    firsts, group = _groups(rows)
+    total, low = _new_tally(len(firsts))
     _tally(total, low, group, counts, first)
-    return {k: [c, p] for k, c, p in zip(index, total.tolist(), low.tolist())}
+    return total, low
 
 
-def _sampled_classes(n: int, bits: np.ndarray, keyer) -> dict[int, list[int]]:
+def _sampled_classes(n: int, bits: np.ndarray, keyer) -> tuple[np.ndarray, np.ndarray]:
     """Census classes of the sampled matrices `bits`: one key per distinct
-    domination order.  keyer(fn, items) is fn(items), in this process or
-    split over a pool."""
+    domination order.  keyer(up) is `_keyed` in this process or over a
+    pool."""
     orders: dict[bytes, int] = {}
     ids = np.concatenate([
         _order_ids(_matrices_from_bits(n, bits[lo : lo + _BATCH]), orders)
@@ -303,27 +314,23 @@ def _sampled_classes(n: int, bits: np.ndarray, keyer) -> dict[int, list[int]]:
     ])
     counts, first = _new_tally(len(orders))
     _tally(counts, first, ids, 1, np.arange(len(bits)))
-    keys = [key for _, key in keyer(_labellings, _order_masks(orders, n))]
-    return _classes(keys, counts, first)
+    return _classes(keyer(_order_masks(orders, n))[1], counts, first)
 
 
-def _suffix_classes(ups: list[list[int]], keyer) -> tuple[np.ndarray, np.ndarray, list]:
+def _suffix_classes(up: np.ndarray, keyer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label each distinct suffix order canonically: its labelling p and
     class per order (rows in id order), and the canonically labelled
     up-masks of one order per class."""
-    labellings = keyer(_labellings, ups)
-    canonical: dict[int, int] = {}
-    suffixes = []
-    for up, (p, key) in zip(ups, labellings):
-        if key not in canonical:
-            canonical[key] = len(suffixes)
-            suffixes.append([sum(1 << j for j, y in enumerate(p) if up[x] >> y & 1) for x in p])
-    labels = np.array([p for p, _ in labellings], dtype=np.int64).reshape(len(ups), -1)
-    suffix_class = np.array([canonical[key] for _, key in labellings], dtype=np.int64)
-    return labels, suffix_class, suffixes
+    p, rows = keyer(up)
+    first, suffix_class = _groups(rows)
+    # bit j of canonical element i says p_i <= p_j
+    reps = p[first]
+    above = np.take_along_axis(up[first], reps, axis=1)
+    suffixes = _up_masks(above[:, :, None] >> reps[:, None, :] & 1)
+    return p, suffix_class, suffixes
 
 
-def _exhaustive_classes(n: int, keyer) -> dict[int, list[int]]:
+def _exhaustive_classes(n: int, keyer) -> tuple[np.ndarray, np.ndarray]:
     """Census classes of every matrix, with row 1 factored out.
 
     Rows 2..n-1 of a family matrix form a family matrix on m = n-1 elements,
@@ -361,18 +368,8 @@ def _exhaustive_classes(n: int, keyer) -> dict[int, list[int]]:
         _tally(counts, first, pair.ravel(), 1, pos.ravel())
 
     present = np.flatnonzero(counts)
-    pairs = [
-        (suffixes[c], upset)
-        for c, upset in zip((present >> (m - 1)).tolist(), (present & (len(subsets) - 1)).tolist())
-    ]
-    return _classes(keyer(_pair_keys, pairs), counts[present], first[present])
-
-
-def _pooled(pool, workers: int, fn, items: list) -> list:
-    """fn over `workers` contiguous chunks of items in the pool, flattened."""
-    bounds = np.linspace(0, len(items), workers + 1, dtype=np.int64).tolist()
-    chunks = pool.map(fn, [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-    return [out for chunk in chunks for out in chunk]
+    rows = _pair_keys(suffixes, present >> (m - 1), present & (len(subsets) - 1), keyer)
+    return _classes(rows, counts[present], first[present])
 
 
 def _usable_cpus() -> int:
@@ -389,14 +386,15 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     Exhaustive when `sample_count` is None (n <= 8), otherwise a seeded
     uniform sample of free-bit assignments (`seed` >= 0).  Classes are
     grouped and ordered by one key, the lexicographically minimal
-    theta-fixing relabeling of their tables (`_census_labelling`, an
-    ordered-partition search on bitmasks), so the report is identical for
-    any worker count.  The exhaustive census keys each distinct order of
-    rows 2..n-1 once and then each distinct (suffix class, up-set of row 1)
-    pair, not each matrix (see `_exhaustive_classes`); a sample is keyed
-    once per distinct order.  This process enumerates and tallies; workers
-    only key the distinct orders, so each is keyed once for any worker
-    count.  Workers are capped by the usable CPUs and the matrix count.
+    theta-fixing relabeling of their tables (`_census_labellings`, an
+    ordered-partition search on bitmasks, run level by level over a batch of
+    orders), so the report is identical for any worker count.  The
+    exhaustive census keys each distinct order of rows 2..n-1 once and then
+    each distinct (suffix class, up-set of row 1) pair, not each matrix (see
+    `_exhaustive_classes`); a sample is keyed once per distinct order.  This
+    process enumerates and tallies; workers only key chunks of the distinct
+    orders, so each is keyed once for any worker count.  Workers are capped
+    by the usable CPUs and the matrix count.
     """
     if n < 2:
         raise UsageError("census needs n >= 2")
@@ -431,27 +429,25 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     else:
         search = functools.partial(_sampled_classes, n, sample_bits)
     if workers == 1:
-        classes = search(lambda fn, items: fn(items))
+        sizes, positions = search(functools.partial(_keyed, map, 1))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            classes = search(functools.partial(_pooled, pool, workers))
+            sizes, positions = search(functools.partial(_keyed, pool.map, workers))
 
-    ordered = sorted(classes.items())
-    sizes = tuple(count for _, (count, _) in ordered)
-    positions = np.array([pos for _, (_, pos) in ordered], dtype=np.int64)
     if sample_bits is None:
         bits = _bits_from_indices(positions.astype(np.uint64), free)
     else:
         bits = sample_bits[positions]
+    strings = row_strings(_matrices_from_bits(n, bits).reshape(-1, n))
     return CensusReport(
         n=n,
         free_bits=free,
         total_matrices=total,
         evaluated=evaluated,
         mode=mode,
-        class_count=len(ordered),
-        class_sizes=sizes,
-        class_representatives=tuple(row_strings(mat) for mat in _matrices_from_bits(n, bits)),
+        class_count=len(sizes),
+        class_sizes=tuple(sizes.tolist()),
+        class_representatives=tuple(strings[i : i + n] for i in range(0, len(strings), n)),
         bound=total,
-        bound_met=len(ordered) >= total,
+        bound_met=len(sizes) >= total,
     )

@@ -91,8 +91,13 @@ class AxiomReport:
 
 
 def row_strings(rows) -> tuple[str, ...]:
-    """The rows of a 0/1 matrix as bit strings."""
-    return tuple("".join(map(str, row)) for row in np.asarray(rows, dtype=np.uint8).tolist())
+    """The rows of a 0/1 matrix as bit strings: the digits as ASCII bytes,
+    each row viewed as one fixed-width byte string and decoded."""
+    bits = np.asarray(rows, dtype=np.uint8)
+    if bits.shape[-1] == 0:
+        return ("",) * len(bits)
+    digits = np.ascontiguousarray(bits + ord("0"))
+    return tuple(digits.view(f"S{bits.shape[-1]}").ravel().astype(str).tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -270,6 +270,7 @@ CENSUS_ANCHORS = {
     ("--n", "8"): "6f4e514a05954988",
     ("--n", "8", "--sample", "40", "--seed", "7"): "5e5a3ab7d17edd81",
     ("--n", "9", "--sample", "10", "--seed", "1"): "bdd8a1868a43d15c",
+    ("--n", "9", "--sample", "200", "--seed", "1"): "727af43db65ffe7b",
 }
 
 

@@ -482,47 +482,73 @@ class TestCensusForm:
         self.check([_induced(_poset_leq(9, covers))], seed=len(covers))
 
 
-class TestCensusKeys:
-    """The bitmask path of the census key: the labelling's relabeling and
-    key, and the (suffix, up-set) pair orders built with shifts."""
+_TWIN_HEAVY_9 = {
+    "chain": [(k, k + 1) for k in range(1, 8)],
+    "antichain": [],
+    "crown": [(a, 5 + (a - 1 + d) % 4) for a in range(1, 5) for d in (0, 1)],
+    "two-4-chains": [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)],
+}
 
-    @pytest.mark.parametrize(
-        "covers",
-        [
-            [(k, k + 1) for k in range(1, 8)],  # chain
-            [],  # antichain
-            [(a, 5 + (a - 1 + d) % 4) for a in range(1, 5) for d in (0, 1)],  # 8-crown
-            [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)],  # two 4-chains
-        ],
-        ids=["chain", "antichain", "crown", "two-4-chains"],
-    )
+
+class TestCensusKeys:
+    """The batched census key: the relabeling and key rows of each order, a
+    batch against its orders keyed one at a time, and the (suffix, up-set)
+    pair orders built with shifts."""
+
+    @pytest.mark.parametrize("covers", list(_TWIN_HEAVY_9.values()), ids=list(_TWIN_HEAVY_9))
     def test_twin_heavy_labelling_against_brute_force(self, covers):
         leq = _poset_leq(9, covers)
         want = _brute_lexmin(_induced(leq))
-        p, key = codegen._census_labelling(codegen._up_masks(leq).tolist())
-        assert codegen._form_bytes(key, 9) == want
+        p, rows = codegen._census_labellings(codegen._up_masks(leq)[None])
+        p = p[0].tolist()
+        assert codegen._form_bytes(rows[0]) == want
         assert p[0] == 0 and sorted(p) == list(range(9))
         assert _induced(leq[np.ix_(p, p)]).astype(np.uint8).tobytes() == want
+
+    def test_shuffled_batch_of_every_7_element_order_keys_as_each_alone(self):
+        # states of one order must not meet another order's minimum
+        up = codegen._up_masks(_family_orders(7))
+        assert len(up) == 4824
+        up = up[np.random.default_rng(7).permutation(len(up))]
+        p, rows = codegen._census_labellings(up)
+        for one, batch_p, batch_rows in zip(up, p, rows):
+            alone_p, alone_rows = codegen._census_labellings(one[None])
+            assert np.array_equal(alone_p[0], batch_p), one
+            assert np.array_equal(alone_rows[0], batch_rows), one
+
+    def test_twin_heavy_batch_mixed_with_random_orders_against_brute_force(self):
+        rng = np.random.default_rng(9)
+        tables = [_induced(_poset_leq(9, covers)) for covers in _TWIN_HEAVY_9.values()]
+        tables += [_family_table(9, int(m)) for m in rng.integers(0, 2**28, size=8)]
+        tables = [tables[i] for i in rng.permutation(len(tables))]
+        leq = np.array([t == 0 for t in tables])
+        p, rows = codegen._census_labellings(codegen._up_masks(leq))
+        for order, labels, key in zip(leq, p.tolist(), rows):
+            want = _brute_lexmin(_induced(order))
+            assert codegen._form_bytes(key) == want
+            assert _induced(order[np.ix_(labels, labels)]).astype(np.uint8).tobytes() == want
 
     def test_every_n8_pair_order_keys_as_built_with_numpy(self, monkeypatch):
         seen = []
         pair_keys = codegen._pair_keys
 
-        def recording(pairs):
-            keys = pair_keys(pairs)
-            seen.extend(zip(pairs, keys))
-            return keys
+        def recording(suffixes, suffix_class, upset, keyer):
+            rows = pair_keys(suffixes, suffix_class, upset, keyer)
+            seen.extend(zip(suffixes[suffix_class].tolist(), upset.tolist(), rows))
+            return rows
 
         monkeypatch.setattr(codegen, "_pair_keys", recording)
         census(8)
         assert len(seen) == 5439
         rest = np.r_[0, 2:8]
-        for (suffix, upset), key in seen:
-            leq = np.zeros((8, 8), dtype=bool)
-            leq[np.ix_(rest, rest)] = np.array(suffix)[:, None] >> np.arange(7) & 1
-            leq[:2, 1] = True
-            leq[1, 2:] = upset >> np.arange(6) & 1
-            assert codegen._census_form(leq) == codegen._form_bytes(key, 8), (suffix, upset)
+        leq = np.zeros((len(seen), 8, 8), dtype=bool)
+        for order, (suffix, upset, _) in zip(leq, seen):
+            order[np.ix_(rest, rest)] = np.array(suffix)[:, None] >> np.arange(7) & 1
+            order[:2, 1] = True
+            order[1, 2:] = upset >> np.arange(6) & 1
+        rows = codegen._census_labellings(codegen._up_masks(leq))[1]
+        for (suffix, upset, key), want in zip(seen, rows):
+            assert np.array_equal(key, want), (suffix, upset)
 
 
 class TestConstructionMemory:
@@ -614,13 +640,13 @@ class TestCensusJobs:
     def test_each_distinct_order_keyed_once_for_any_jobs(self, pools, monkeypatch, jobs):
         monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
         sizes = collections.Counter()
-        labelling = codegen._census_labelling
+        labellings = codegen._census_labellings
 
         def counting(up):
-            sizes[len(up)] += 1
-            return labelling(up)
+            sizes[up.shape[1]] += len(up)
+            return labellings(up)
 
-        monkeypatch.setattr(codegen, "_census_labelling", counting)
+        monkeypatch.setattr(codegen, "_census_labellings", counting)
         census(8, jobs=jobs)
         # 4,824 distinct suffix orders, then 5,439 (suffix class, up-set) pairs
         assert sizes == {7: 4824, 8: 5439}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bckcodes import STAR, BlockCode, OpTable, Poset, UsageError
+from bckcodes.model import row_strings
 
 
 class TestBlockCode:
@@ -55,6 +56,24 @@ class TestBlockCode:
         code = BlockCode.from_strings(["10", "01"])
         with pytest.raises(ValueError):
             code.matrix[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.random.default_rng(3).integers(0, 2, size=(301, 150)) == 1,
+        np.random.default_rng(4).integers(0, 2, size=(7, 64)),
+        [[1, 0, 1], [0, 0, 0]],
+        np.zeros((3, 0), dtype=np.uint8),
+        np.zeros((0, 5), dtype=np.uint8),
+        [],
+    ],
+    ids=["bool-301x150", "int-7x64", "lists", "zero-width", "no-rows", "empty"],
+)
+def test_row_strings_match_joined_digits(rows):
+    want = tuple("".join(str(int(b)) for b in row) for row in np.asarray(rows, dtype=np.uint8))
+    got = row_strings(rows)
+    assert got == want and all(type(s) is str for s in got)
 
 
 def build(kind, values):
