@@ -214,20 +214,6 @@ def _up_masks(leq: np.ndarray) -> np.ndarray:
     return leq @ np.left_shift(1, np.arange(leq.shape[-1], dtype=np.int32))
 
 
-def _form_bytes(rows: np.ndarray) -> bytes:
-    """The census table that the key rows of one order stand for."""
-    n = len(rows)
-    bits = rows[:, None] >> np.arange(n - 1, -1, -1) & 1
-    return (bits * np.arange(n)[:, None]).astype(np.uint8).tobytes()
-
-
-def _census_form(leq: np.ndarray) -> bytes:
-    """Canonical key of the census algebra on the order `leq` (theta = 0,
-    x * y = 0 if x <= y else x): its lexicographically minimal row-major
-    table over the relabelings that keep theta at 0."""
-    return _form_bytes(_census_labellings(_up_masks(leq)[None])[1][0])
-
-
 def _groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows of the 2-D array `a`: the first index of each group, the
     groups in lexicographic order of their rows, and each row's group."""

@@ -357,34 +357,45 @@ def _exhaustive_census(n: int) -> CensusReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _per_matrix_census(n: int) -> tuple[CensusReport, int]:
-    """Oracle: the census keyed matrix by matrix, and its number of distinct
-    labelled orders.  Every distinct domination order gets `_census_form`;
-    a class is the matrices whose order has its key, listed in key order
-    with the matrix of least index as representative."""
+def _matrix_keys(n: int) -> tuple[tuple[bytes, ...], int]:
+    """Oracle keys: for each family matrix in index order, the census table
+    of its domination order relabelled by that order's `_census_labellings`
+    labelling p, as bytes; and the number of distinct labelled orders.  The
+    distinct orders are labelled in one batch."""
     mats = _family_matrices(n)
     leq = domination_leq(mats).reshape(len(mats), n * n)
     orders, inverse = np.unique(leq, axis=0, return_inverse=True)
-    keys = [codegen._census_form(order.reshape(n, n)) for order in orders]
+    orders = orders.reshape(-1, n, n)
+    p = codegen._census_labellings(codegen._up_masks(orders))[0]
+    keys = [table.tobytes() for table in _relabelled(orders, p)]
+    return tuple(keys[u] for u in inverse.ravel().tolist()), len(orders)
+
+
+def _keyed_report(n: int, indices, mode: str) -> CensusReport:
+    """Oracle: the census of the family matrices at `indices`, grouped by
+    `_matrix_keys`.  A class's size is the number of its entries, its
+    representative the matrix at its first entry, and classes are listed in
+    the order of their table bytes, not of the key rows `census` sorts by."""
+    keys = _matrix_keys(n)[0]
     classes: dict[bytes, list[int]] = {}
-    for index, u in enumerate(inverse.ravel().tolist()):
-        classes.setdefault(keys[u], [0, index])[0] += 1
+    for index in indices:
+        classes.setdefault(keys[index], [0, index])[0] += 1
     ordered = [classes[key] for key in sorted(classes)]
+    mats = _family_matrices(n)
     reps = tuple(tuple("".join(str(int(b)) for b in row) for row in mats[i]) for _, i in ordered)
     total = len(mats)
-    report = CensusReport(
+    return CensusReport(
         n=n,
         free_bits=(n - 1) * (n - 2) // 2,
         total_matrices=total,
-        evaluated=total,
-        mode="exhaustive",
+        evaluated=len(indices),
+        mode=mode,
         class_count=len(ordered),
         class_sizes=tuple(size for size, _ in ordered),
         class_representatives=reps,
         bound=total,
         bound_met=len(ordered) >= total,
     )
-    return report, len(orders)
 
 
 class TestCensusOracle:
@@ -392,12 +403,12 @@ class TestCensusOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_equals_per_matrix_census(self, n):
-        assert _exhaustive_census(n) == _per_matrix_census(n)[0]
+        assert _exhaustive_census(n) == _keyed_report(n, range(len(_matrix_keys(n)[0])), "exhaustive")
 
     @pytest.mark.parametrize("n,count", [(3, 2), (4, 7), (5, 40), (6, 357), (7, 4824)])
     def test_distinct_labelled_orders_are_a006455(self, n, count):
         # naturally labelled posets on n-1 points
-        assert _per_matrix_census(n)[1] == count
+        assert _matrix_keys(n)[1] == count
 
     @pytest.mark.parametrize("n,count", [(3, 2), (4, 5), (5, 16), (6, 63), (7, 318), (8, 2045)])
     def test_class_counts_are_a000112(self, n, count):
@@ -406,8 +417,23 @@ class TestCensusOracle:
 
 
 def _induced(leq: np.ndarray) -> np.ndarray:
-    """The census table of an order: x * y = 0 if x <= y else x."""
-    return np.where(leq, 0, np.arange(len(leq))[:, None])
+    """The census table of an order, or of each of a batch: x * y = 0 if
+    x <= y else x."""
+    return np.where(leq, 0, np.arange(leq.shape[-1])[:, None])
+
+
+def _relabelled(leq: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The census table of each order of a batch relabelled by its row of
+    p: new element k is old element p[b, k]."""
+    b = np.arange(len(leq))[:, None, None]
+    return _induced(leq[b, p[:, :, None], p[:, None, :]]).astype(np.uint8)
+
+
+def _table_rows(tables: np.ndarray) -> np.ndarray:
+    """The key rows that census tables stand for: row i's entries as bits,
+    1 where nonzero, entry 0 the highest."""
+    n = tables.shape[-1]
+    return (tables != 0) @ np.left_shift(1, np.arange(n - 1, -1, -1))
 
 
 def _poset_leq(n: int, covers) -> np.ndarray:
@@ -447,14 +473,25 @@ class TestCensusForm:
 
     @staticmethod
     def check(tables, seed: int) -> None:
+        """Label the orders of `tables` and a random theta-fixing relabeling
+        of each in one batch: each table relabelled by its p is the
+        brute-force lexmin, the key rows stand for that table, and the
+        relabeled copy gets the same rows and the same table."""
         rng = np.random.default_rng(seed)
-        for t in tables:
-            n = len(t)
-            assert np.array_equal(t, _induced(t == 0))
-            key = codegen._census_form(t == 0)
-            assert key == _brute_lexmin(t), t
-            p = np.concatenate(([0], 1 + rng.permutation(n - 1)))
-            assert codegen._census_form(_relabel(t, p) == 0) == key, (t, p)
+        leq = np.array([t == 0 for t in tables])
+        n = leq.shape[1]
+        assert np.array_equal(np.array(tables), _induced(leq))
+        moved = [_relabel(t, np.concatenate(([0], 1 + rng.permutation(n - 1)))) == 0 for t in tables]
+        leq = np.concatenate((leq, moved))
+        p, rows = codegen._census_labellings(codegen._up_masks(leq))
+        assert (p[:, 0] == 0).all() and (np.sort(p, axis=1) == np.arange(n)).all()
+        lexmin = _relabelled(leq, p)
+        assert np.array_equal(_table_rows(lexmin), rows)
+        half = len(tables)
+        for t, table, key, moved_table, moved_key in zip(tables, lexmin, rows, lexmin[half:], rows[half:]):
+            assert table.tobytes() == _brute_lexmin(t), t
+            assert np.array_equal(moved_key, key), t
+            assert np.array_equal(moved_table, table), t
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_every_distinct_family_order(self, n):
@@ -501,7 +538,7 @@ class TestCensusKeys:
         want = _brute_lexmin(_induced(leq))
         p, rows = codegen._census_labellings(codegen._up_masks(leq)[None])
         p = p[0].tolist()
-        assert codegen._form_bytes(rows[0]) == want
+        assert np.array_equal(rows[0], _table_rows(np.frombuffer(want, np.uint8).reshape(9, 9)))
         assert p[0] == 0 and sorted(p) == list(range(9))
         assert _induced(leq[np.ix_(p, p)]).astype(np.uint8).tobytes() == want
 
@@ -525,7 +562,7 @@ class TestCensusKeys:
         p, rows = codegen._census_labellings(codegen._up_masks(leq))
         for order, labels, key in zip(leq, p.tolist(), rows):
             want = _brute_lexmin(_induced(order))
-            assert codegen._form_bytes(key) == want
+            assert np.array_equal(key, _table_rows(np.frombuffer(want, np.uint8).reshape(9, 9)))
             assert _induced(order[np.ix_(labels, labels)]).astype(np.uint8).tobytes() == want
 
     def test_every_n8_pair_order_keys_as_built_with_numpy(self, monkeypatch):
@@ -635,6 +672,16 @@ class TestCensusJobs:
         monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
         assert census(8, sample_count=40, seed=7, jobs=4) == census(8, sample_count=40, seed=7)
         assert pools == [4]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_sample_across_batches_equals_per_sample_oracle(self, pools, monkeypatch, jobs):
+        # 5,000 samples take two batches of order ids, which share one dedup
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
+        assert codegen._BATCH < 5000
+        bits = np.random.default_rng(11).integers(0, 2, size=(5000, 15), dtype=np.uint8)
+        indices = (bits @ np.left_shift(1, np.arange(14, -1, -1))).tolist()
+        assert census(7, sample_count=5000, seed=11, jobs=jobs) == _keyed_report(7, indices, "sample")
+        assert pools == ([] if jobs == 1 else [3])
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_each_distinct_order_keyed_once_for_any_jobs(self, pools, monkeypatch, jobs):
