@@ -137,6 +137,111 @@ def _matrices_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
     return mats
 
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg_start(seed: int) -> tuple[int, int]:
+    """The PCG64 state of the first draw, and the increment, that
+    `np.random.default_rng(seed)` starts from: numpy's SeedSequence pool
+    mixing and generate_state(4, uint64), in Python ints."""
+    words = [seed >> s & _M32 for s in range(0, seed.bit_length(), 32)]  # none for 0: pads as [0]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (x * 0xCA01F9DD - y * 0x4973F715) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # entropy past the pool
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, halves = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        halves.append(value ^ value >> 16)
+    # uint64 k is halves 2k (low) and 2k+1; the initial state is uint64s
+    # 0:1 (high:low) and the sequence 2:3
+    u64 = [halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _M128
+    # set-up: step from 0, add the initial state, step; then the first draw's step
+    state = (inc + (u64[0] << 64 | u64[1])) * _PCG_MULT + inc
+    return (state * _PCG_MULT + inc) & _M128, inc
+
+
+def _pcg_jump(steps: int, inc: int) -> tuple[int, int]:
+    """(a, c) such that `steps` PCG64 steps map a state s to a*s + c."""
+    a, c, mult = 1, 0, _PCG_MULT
+    while steps:
+        if steps & 1:
+            a, c = a * mult & _M128, (c * mult + inc) & _M128
+        inc, mult = inc * (mult + 1) & _M128, mult * mult & _M128
+        steps >>= 1
+    return a, c
+
+
+def _pcg_advance(hi: np.ndarray, lo: np.ndarray, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lane states hi:lo mapped to a*s + c mod 2^128, the 64x64-bit low
+    product built from 32-bit pieces."""
+    a_hi, a_lo, c_hi, c_lo = (np.uint64(v) for v in (a >> 64, a & _M64, c >> 64, c & _M64))
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    b0, b1 = a_lo & m32, a_lo >> s32
+    x0, x1 = lo & m32, lo >> s32
+    p01, p10 = x0 * b1, x1 * b0
+    mid = (x0 * b0 >> s32) + (p01 & m32) + (p10 & m32)
+    new_hi = x1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32) + hi * a_lo + lo * a_hi + c_hi
+    new_lo = lo * a_lo + c_lo
+    new_hi += new_lo < c_lo
+    return new_hi, new_lo
+
+
+def _sample_bits(seed: int, count: int, free: int) -> np.ndarray:
+    """Exactly `np.random.default_rng(seed).integers(0, 2, size=(count,
+    free), dtype=np.uint8)`, without importing numpy.random.
+
+    The stream is O'Neill's PCG64 (XSL-RR 128/64, 2014).  Each 64-bit
+    output gives 8 bytes, little-endian, and each bit is `byte >> 7`:
+    numpy's buffered Lemire method for uint8 over a range of 2, which never
+    rejects.  The 128-bit LCG runs over lanes, one per draw of a batch of
+    _BATCH samples (a whole number of draws), and jumps every lane ahead by
+    a batch at once, so the working memory is one batch."""
+    out = np.empty((count, free), dtype=np.uint8)
+    if not out.size:
+        return out
+    state, inc = _pcg_start(seed)
+    lanes = min(_BATCH * free // 8, -(-count * free // 8))
+    hi = np.array([state >> 64], dtype=np.uint64)
+    lo = np.array([state & _M64], dtype=np.uint64)
+    while len(lo) < lanes:  # lane i holds the state of draw i
+        a, c = _pcg_jump(len(lo), inc)
+        more = _pcg_advance(hi[: lanes - len(lo)], lo[: lanes - len(lo)], a, c)
+        hi, lo = np.concatenate([hi, more[0]]), np.concatenate([lo, more[1]])
+    a, c = _pcg_jump(lanes, inc)
+    s58, s63 = np.uint64(58), np.uint64(63)
+    for start in range(0, count, _BATCH):
+        rows = min(_BATCH, count - start)
+        xsl, rot = hi ^ lo, hi >> s58
+        draws = (xsl >> rot | xsl << (-rot & s63)).astype("<u8", copy=False)
+        out[start : start + rows] = draws.view(np.uint8)[: rows * free].reshape(rows, free) >> 7
+        hi, lo = _pcg_advance(hi, lo, a, c)
+    return out
+
+
 def _census_labellings(up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The relabeling behind the census key of each order of a batch, and
     the key's rows.
@@ -370,7 +475,9 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     elements into isomorphism classes of the induced algebras.
 
     Exhaustive when `sample_count` is None (n <= 8), otherwise a seeded
-    uniform sample of free-bit assignments (`seed` >= 0).  Classes are
+    uniform sample of free-bit assignments (`seed` >= 0): the bits that
+    `np.random.default_rng(seed).integers(0, 2, ...)` draws, computed by
+    `_sample_bits` without importing numpy.random.  Classes are
     grouped and ordered by one key, the lexicographically minimal
     theta-fixing relabeling of their tables (`_census_labellings`, an
     ordered-partition search on bitmasks, run level by level over a batch of
@@ -402,8 +509,7 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
             raise UsageError("sample count must be positive")
         if seed < 0:
             raise UsageError("seed must be non-negative")
-        rng = np.random.default_rng(seed)
-        sample_bits = rng.integers(0, 2, size=(sample_count, free), dtype=np.uint8)
+        sample_bits = _sample_bits(seed, sample_count, free)
         evaluated = sample_count
         mode = "sample"
     if jobs < 1:

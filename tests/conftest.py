@@ -1,3 +1,4 @@
+import functools
 import sys
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -91,15 +92,23 @@ def heyting_downsets(leq: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(table, dtype=np.int64), len(downsets) - 1
 
 
-def posets_up_to_iso(k: int) -> list[np.ndarray]:
-    """One poset per isomorphism class on k elements, as `leq` matrices:
-    the canonical form is the minimal serialization over all k!
-    relabelings."""
-    perms = [np.array(p) for p in permutations(range(k))]
-    found = {}
-    for rel in labeled_posets(k):
-        found.setdefault(min(rel[np.ix_(p, p)].tobytes() for p in perms), rel)
-    return list(found.values())
+@functools.cache
+def posets_up_to_iso(k: int) -> tuple[np.ndarray, ...]:
+    """One poset per isomorphism class on k elements, as read-only `leq`
+    matrices: the first labelled poset of each class, whose canonical form
+    is the minimal serialization over all k! relabelings."""
+    rels = labeled_posets(k)
+    rels.setflags(write=False)
+    perms = np.array(list(permutations(range(k))), dtype=np.intp).reshape(-1, k)
+    # cell (i, j) of relabeling p reads cell (p_i, p_j): one gather over all k!
+    cells = (perms[:, :, None] * k + perms[:, None, :]).reshape(len(perms), k * k)
+    packed = np.packbits(rels.reshape(len(rels), k * k)[:, cells], axis=2)
+    # big-endian words compare as the serializations do (k <= 8)
+    words = np.zeros(packed.shape[:2] + (8,), dtype=np.uint8)
+    words[:, :, : packed.shape[2]] = packed
+    keys = words.view(">u8")[:, :, 0].min(axis=1)
+    first = np.unique(keys, return_index=True)[1]
+    return tuple(rels[i] for i in np.sort(first))
 
 
 def labeled_posets(k: int) -> np.ndarray:

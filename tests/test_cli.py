@@ -271,6 +271,10 @@ CENSUS_ANCHORS = {
     ("--n", "8", "--sample", "40", "--seed", "7"): "5e5a3ab7d17edd81",
     ("--n", "9", "--sample", "10", "--seed", "1"): "bdd8a1868a43d15c",
     ("--n", "9", "--sample", "200", "--seed", "1"): "727af43db65ffe7b",
+    # a seed of three 32-bit words, and 108 bits, not a whole number of draws
+    ("--n", "10", "--sample", "3", "--seed", "18446744073709551621"): "410b654dfdace7c7",
+    # more samples than one batch
+    ("--n", "12", "--sample", "5000", "--seed", "2"): "c8d0cd1c3bfc1859",
 }
 
 
@@ -290,6 +294,13 @@ class TestCensusAnchors:
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_anchor_any_jobs(self, capsys, n, jobs):
         assert self.census_sha(capsys, "--n", n, "--jobs", jobs) == CENSUS_ANCHORS[("--n", n)]
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in CENSUS_ANCHORS if a[1:] not in (("5",), ("6",), ("7",))], ids=" ".join
+    )
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_other_anchors_any_jobs(self, capsys, argv, jobs):
+        assert self.census_sha(capsys, *argv, "--jobs", jobs) == CENSUS_ANCHORS[argv]
 
 
 class TestHasse:
@@ -471,6 +482,46 @@ class TestConsoleEntryPoint:
         proc.stderr.close()
         assert proc.wait() == 141
         assert err == ""  # in particular no Traceback
+
+
+GUARD_SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+before = set(sys.modules)
+from bckcodes.cli import run_command
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run_command(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+class TestModuleGuard:
+    """No command loads numpy.random or numpy.ma.  Measured against what
+    `import numpy` alone loads, which includes both before numpy 2."""
+
+    def test_commands_load_neither_numpy_random_nor_numpy_ma(self):
+        argvs = [
+            ["census", "--n", "9", "--sample", "10", "--seed", "1", "--json"],
+            ["census", "--n", "6", "--json"],
+            ["build", "--mode", "embed", fx("embed9.code")],
+            ["classify", fx("local5_dot.alg")],
+            ["iso", fx("local5_star.alg"), fx("local5_star.alg")],
+            ["verify", "--kind", "bck", fx("semisimple4_star.alg")],
+            ["props", fx("local5_star.alg")],
+            ["filters", "--maximal", fx("embed9_dot.alg")],
+            ["roundtrip", fx("embed9.code")],
+            ["hasse", fx("local5.code")],
+        ]
+        out = subprocess.run(
+            [sys.executable, "-c", GUARD_SCRIPT, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert out.returncode == 0, out.stderr
+        codes, loaded = json.loads(out.stdout)
+        assert codes == [0] * len(argvs)
+        assert [m for m in loaded if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])] == []
 
 
 def pinned(payload) -> str:

@@ -629,6 +629,45 @@ class TestCensusMemory:
         assert peak < 16 * 2**20, peak
 
 
+class TestSampleBits:
+    """The sample stream against its oracle, numpy.random itself."""
+
+    @staticmethod
+    def oracle(seed, count, free):
+        return np.random.default_rng(seed).integers(0, 2, size=(count, free), dtype=np.uint8)
+
+    # 2**160 has six 32-bit words, more than the 4-word pool
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5, 10**30, 2**160])
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 0), (1, 1), (4, 3), (10, 28), (5000, 15), (777, 105), (2 * codegen._BATCH + 1, 3)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_edge_seeds_and_shapes(self, seed, shape):
+        assert codegen._BATCH < 5000
+        got = codegen._sample_bits(seed, *shape)
+        want = self.oracle(seed, *shape)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got, want)
+
+    def test_seeded_random_cases(self):
+        rng = np.random.default_rng(18)
+        for _ in range(320):
+            seed = int.from_bytes(rng.bytes(int(rng.integers(1, 25))), "little")
+            count, free = int(rng.integers(1, 600)), int(rng.integers(0, 121))
+            want = self.oracle(seed, count, free)
+            assert np.array_equal(codegen._sample_bits(seed, count, free), want), (seed, count, free)
+
+    def test_memory_is_the_output_and_one_batch(self):
+        tracemalloc.start()
+        try:
+            out = codegen._sample_bits(5, 150000, 105)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes, peak
+
+
 class TestCensusJobs:
     @pytest.fixture
     def pools(self, monkeypatch):
