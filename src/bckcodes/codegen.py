@@ -21,7 +21,7 @@ from .model import (
     RoundtripReport,
     row_strings,
 )
-from .posets import domination_leq
+from .posets import _packed_leq
 
 CENSUS_EXHAUSTIVE_MAX_N = 8
 CENSUS_SAMPLE_MAX_N = 16
@@ -115,26 +115,30 @@ def local_family(n: int, free_bits="") -> BlockCode:
 # census
 # ---------------------------------------------------------------------------
 
-def _census_positions(n: int) -> list[tuple[int, int]]:
-    # above-diagonal cells of rows 2..n-1 (1-based), row-major
-    return [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
-
-
 def _bits_from_indices(ks: np.ndarray, width: int) -> np.ndarray:
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     return ((ks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def _matrices_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
-    positions = _census_positions(n)
-    count = bits.shape[0]
-    mats = np.zeros((count, n, n), dtype=np.uint8)
-    idx = np.arange(n)
-    mats[:, idx, idx] = 1
-    mats[:, 0, :] = 1
-    for p, (i, j) in enumerate(positions):
-        mats[:, i, j] = bits[:, p]
-    return mats
+def _family_rows(n: int, bits: np.ndarray) -> np.ndarray:
+    """The family matrix of each row of free bits, as its n rows read as
+    binary numbers, column 0 the highest bit.  Row 0 is all ones; row i is
+    its diagonal 1 followed by the next n-1-i free bits, which fill the
+    above-diagonal cells of rows 2..n-1 (1-based) row-major."""
+    rows = np.empty((len(bits), n), dtype=np.int64)
+    rows[:, 0] = (1 << n) - 1
+    start = 0
+    for i in range(1, n):
+        width = n - 1 - i
+        rows[:, i] = 1 << width | bits[:, start : start + width] @ (1 << np.arange(width)[::-1])
+        start += width
+    return rows
+
+
+def _domination_up(rows: np.ndarray) -> np.ndarray:
+    """The up-masks of the domination order of each family matrix of a
+    batch of int rows: x <= y when row y & ~row x is 0."""
+    return _up_masks(_packed_leq(rows[:, :, None]))
 
 
 _M32 = (1 << 32) - 1
@@ -354,25 +358,6 @@ def _pair_keys(suffixes: np.ndarray, suffix_class: np.ndarray, upset: np.ndarray
     return keyer(up)[1]
 
 
-def _order_ids(mats: np.ndarray, orders: dict[bytes, int]) -> np.ndarray:
-    """The id of each matrix's domination order in `orders` (bit-packed
-    order -> id, numbered as first seen), adding the orders not yet there.
-    The packed orders are deduplicated as big-endian 64-bit words."""
-    n = mats.shape[-1]
-    packed = np.packbits(domination_leq(mats).reshape(len(mats), n * n), axis=1)
-    words = np.zeros((len(mats), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    first, group = _groups(words.view(">u8"))
-    ids = [orders.setdefault(packed[i].tobytes(), len(orders)) for i in first.tolist()]
-    return np.array(ids, dtype=np.int64)[group]
-
-
-def _order_masks(orders: dict[bytes, int], n: int) -> np.ndarray:
-    """The up-masks of every order in `orders`, in id order."""
-    packed = np.frombuffer(b"".join(orders), dtype=np.uint8).reshape(len(orders), -1)
-    return _up_masks(np.unpackbits(packed, axis=1, count=n * n).reshape(-1, n, n))
-
-
 def _new_tally(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per group: a matrix count of 0 and no minimal position yet."""
     return np.zeros(size, dtype=np.int64), np.full(size, np.iinfo(np.int64).max)
@@ -398,20 +383,19 @@ def _sampled_classes(n: int, bits: np.ndarray, keyer) -> tuple[np.ndarray, np.nd
     """Census classes of the sampled matrices `bits`: one key per distinct
     domination order.  keyer(up) is `_keyed` in this process or over a
     pool."""
-    orders: dict[bytes, int] = {}
-    ids = np.concatenate([
-        _order_ids(_matrices_from_bits(n, bits[lo : lo + _BATCH]), orders)
-        for lo in range(0, len(bits), _BATCH)
+    up = np.concatenate([
+        _domination_up(_family_rows(n, bits[lo : lo + _BATCH])) for lo in range(0, len(bits), _BATCH)
     ])
-    counts, first = _new_tally(len(orders))
-    _tally(counts, first, ids, 1, np.arange(len(bits)))
-    return _classes(keyer(_order_masks(orders, n))[1], counts, first)
+    distinct, group = _groups(up)
+    counts, first = _new_tally(len(distinct))
+    _tally(counts, first, group, 1, np.arange(len(bits)))
+    return _classes(keyer(up[distinct])[1], counts, first)
 
 
 def _suffix_classes(up: np.ndarray, keyer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label each distinct suffix order canonically: its labelling p and
-    class per order (rows in id order), and the canonically labelled
-    up-masks of one order per class."""
+    class per order (rows in the order of `up`), and the canonically
+    labelled up-masks of one order per class."""
     p, rows = keyer(up)
     first, suffix_class = _groups(rows)
     # bit j of canonical element i says p_i <= p_j
@@ -421,6 +405,15 @@ def _suffix_classes(up: np.ndarray, keyer) -> tuple[np.ndarray, np.ndarray, np.n
     return p, suffix_class, suffixes
 
 
+def _suffix_blocks(m: int):
+    """Every family matrix on m elements as int rows, in index order, one
+    _BATCH at a time: (index range, rows)."""
+    free = (m - 1) * (m - 2) // 2
+    for lo in range(0, 1 << free, _BATCH):
+        hi = min(lo + _BATCH, 1 << free)
+        yield lo, hi, _family_rows(m, _bits_from_indices(np.arange(lo, hi, dtype=np.uint64), free))
+
+
 def _exhaustive_classes(n: int, keyer) -> tuple[np.ndarray, np.ndarray]:
     """Census classes of every matrix, with row 1 factored out.
 
@@ -428,29 +421,24 @@ def _exhaustive_classes(n: int, keyer) -> tuple[np.ndarray, np.ndarray]:
     its suffix, and the free bits S of row 1 lead the global index:
     S << free(m) | suffix index.  The order on n elements is the suffix's
     order plus a new element, 1, that is above theta and nothing else and
-    whose strict up-set is {j : supp(j) within S}.  So each distinct suffix order
-    is labelled canonically once, every up-set of every suffix is mapped
-    through that labelling, and only the distinct (suffix class, up-set)
-    pairs are keyed (McKay, Isomorph-free exhaustive generation, 1998).
+    whose strict up-set is {j : supp(j) within S}; as ints, suffix rows 1..
+    are those supports in S's bit order.  So each distinct suffix order is
+    labelled canonically once, every up-set of every suffix is mapped
+    through that labelling, a block of rebuilt rows at a time, and only the
+    distinct (suffix class, up-set) pairs are keyed (McKay, Isomorph-free
+    exhaustive generation, 1998).
     """
     m = n - 1
     free_m = (m - 1) * (m - 2) // 2
     subsets = np.arange(1 << (m - 1), dtype=np.int64)  # every S
-    # suffix column j >= 1 is matrix column j+1, bit m-1-j of S
-    column_bits = 1 << np.arange(m - 2, -1, -1, dtype=np.int64)
-    orders: dict[bytes, int] = {}
-    blocks = []
-    for lo in range(0, 1 << free_m, _BATCH):
-        hi = min(lo + _BATCH, 1 << free_m)
-        bits = _bits_from_indices(np.arange(lo, hi, dtype=np.uint64), free_m)
-        mats = _matrices_from_bits(m, bits)
-        blocks.append((lo, hi, _order_ids(mats, orders), mats[:, 1:, 1:] @ column_bits))
-
-    labels, suffix_class, suffixes = _suffix_classes(_order_masks(orders, m), keyer)
+    up = np.concatenate([_domination_up(rows) for _, _, rows in _suffix_blocks(m)])
+    distinct, order_ids = _groups(up)
+    labels, suffix_class, suffixes = _suffix_classes(up[distinct], keyer)
     counts, first = _new_tally(len(suffixes) << (m - 1))
-    for lo, hi, ids, supports in blocks:
+    for lo, hi, rows in _suffix_blocks(m):
+        ids = order_ids[lo:hi]
         # the supports of canonical elements 1..m-1, in that order
-        support = np.take_along_axis(supports, labels[ids, 1:] - 1, axis=1)
+        support = np.take_along_axis(rows[:, 1:], labels[ids, 1:] - 1, axis=1)
         upset = np.zeros((hi - lo, len(subsets)), dtype=np.int64)
         for j in range(m - 1):
             upset |= ((support[:, j, None] & ~subsets) == 0) << j
@@ -477,11 +465,13 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     Exhaustive when `sample_count` is None (n <= 8), otherwise a seeded
     uniform sample of free-bit assignments (`seed` >= 0): the bits that
     `np.random.default_rng(seed).integers(0, 2, ...)` draws, computed by
-    `_sample_bits` without importing numpy.random.  Classes are
-    grouped and ordered by one key, the lexicographically minimal
-    theta-fixing relabeling of their tables (`_census_labellings`, an
-    ordered-partition search on bitmasks, run level by level over a batch of
-    orders), so the report is identical for any worker count.  The
+    `_sample_bits` without importing numpy.random.  A matrix is its n rows
+    as ints (`_family_rows`) and its order the up-mask rows read off them
+    (`_domination_up`).  Classes are grouped and ordered by one key, the
+    lexicographically minimal theta-fixing relabeling of their tables
+    (`_census_labellings`, an ordered-partition search on bitmasks, run
+    level by level over a batch of orders), so the report is identical
+    for any worker count.  The
     exhaustive census keys each distinct order of rows 2..n-1 once and then
     each distinct (suffix class, up-set of row 1) pair, not each matrix (see
     `_exhaustive_classes`); a sample is keyed once per distinct order.  This
@@ -530,7 +520,9 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
         bits = _bits_from_indices(positions.astype(np.uint64), free)
     else:
         bits = sample_bits[positions]
-    strings = row_strings(_matrices_from_bits(n, bits).reshape(-1, n))
+    # each int row as 16 bits, of which the last n are the matrix row
+    digits = np.unpackbits(_family_rows(n, bits).astype(">u2").view(np.uint8).reshape(-1, 2), axis=1)
+    strings = row_strings(digits[:, 16 - n :])
     return CensusReport(
         n=n,
         free_bits=free,

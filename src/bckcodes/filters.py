@@ -92,6 +92,17 @@ def _grow(row: tuple[int, ...], mask: int) -> int:
     return grown
 
 
+def _growth(h: OpTable, induced: bool):
+    """The closure step on a Hilbert table, grow(a, mask): the filter
+    generated by the filter `mask` and the element a.  On an `induced` table
+    it is one OR with the down-set of a, else a pass over row a."""
+    if induced:
+        down = _row_masks(h.table == 0)  # row a: {x : a.x = 0} = {x <= a}
+        return lambda a, mask: mask | down[a]
+    rows = _pytable(h)
+    return lambda a, mask: _grow(rows[a], mask)
+
+
 def _mask_to_set(mask: int, n: int) -> frozenset[int]:
     return frozenset(i for i in range(n) if mask >> i & 1)
 
@@ -107,18 +118,17 @@ def _check_members(h: OpTable, s) -> frozenset[int]:
 def is_filter(h: OpTable, s) -> tuple[bool, tuple[int, int] | None]:
     """Whether s contains theta and is deductively closed; on failure the
     witness is the first violating pair in index order."""
-    _require_hilbert(h)
-    return _closure_witness(h, _check_members(h, s))
+    grow = _growth(h, _require_hilbert(h))
+    return _closure_witness(grow, _check_members(h, s))
 
 
-def _closure_witness(h: OpTable, members: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
-    """`is_filter` on a table known to be a Hilbert algebra."""
+def _closure_witness(grow, members: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
+    """`is_filter` on a Hilbert table, given its `_growth`."""
     if 0 not in members:
         return False, None
-    rows = _pytable(h)
     mask = sum(1 << i for i in members)
     for x in sorted(members):
-        extra = _grow(rows[x], mask) & ~mask
+        extra = grow(x, mask) & ~mask
         if extra:
             return False, (x, (extra & -extra).bit_length() - 1)
     return True, None
@@ -127,16 +137,14 @@ def _closure_witness(h: OpTable, members: frozenset[int]) -> tuple[bool, tuple[i
 def generated_filter(h: OpTable, seed) -> frozenset[int]:
     """Least filter containing the seed: {theta} grown by one seed element
     at a time."""
-    _require_hilbert(h)
-    seed = _check_members(h, seed)
-    rows = _pytable(h)
+    grow = _growth(h, _require_hilbert(h))
     mask = 1
-    for a in sorted(seed):
-        mask = _grow(rows[a], mask)
+    for a in sorted(_check_members(h, seed)):
+        mask = grow(a, mask)
     return _mask_to_set(mask, h.n)
 
 
-def _enumerate_masks(h: OpTable, induced: bool) -> tuple[list[int], list[int]]:
+def _enumerate_masks(n: int, grow) -> tuple[list[int], list[int]]:
     """Every filter and the maximal proper ones, each in (cardinality,
     bitmask) order.
 
@@ -144,20 +152,9 @@ def _enumerate_masks(h: OpTable, induced: bool) -> tuple[list[int], list[int]]:
     proper filter by each element outside it.  Every filter is reached,
     since it is the growth of a smaller filter inside it by one of its
     elements; a proper filter is maximal exactly when every such growth is
-    the carrier.  On an `induced` table a growth is one OR with a down-set.
+    the carrier.  `grow` is the `_growth` of the n-element table.
     """
-    if induced:
-        down = _row_masks(h.table == 0)  # row a: {x : a.x = 0} = {x <= a}
-
-        def grow(a: int, mask: int) -> int:
-            return mask | down[a]
-    else:
-        rows = _pytable(h)
-
-        def grow(a: int, mask: int) -> int:
-            return _grow(rows[a], mask)
-
-    carrier = (1 << h.n) - 1
+    carrier = (1 << n) - 1
     found = {1}
     maximal = []
     frontier = [1]
@@ -167,7 +164,7 @@ def _enumerate_masks(h: OpTable, induced: bool) -> tuple[list[int], list[int]]:
             if mask == carrier:
                 continue
             is_maximal = True
-            for a in range(h.n):
+            for a in range(n):
                 if mask >> a & 1:
                     continue
                 grown = grow(a, mask)
@@ -258,8 +255,8 @@ def all_filters(h: OpTable) -> list[frozenset[int]]:
 
     Output order: cardinality, then bitmask value.
     """
-    induced = _enumeration_route(h)
-    return [_mask_to_set(m, h.n) for m in _enumerate_masks(h, induced)[0]]
+    grow = _growth(h, _enumeration_route(h))
+    return [_mask_to_set(m, h.n) for m in _enumerate_masks(h.n, grow)[0]]
 
 
 def maximal_filters(h: OpTable) -> list[frozenset[int]]:
@@ -268,7 +265,7 @@ def maximal_filters(h: OpTable) -> list[frozenset[int]]:
     if _enumeration_route(h):
         masks = _order_maximal(h)
     else:
-        masks = _enumerate_masks(h, False)[1]
+        masks = _enumerate_masks(h.n, _growth(h, False))[1]
     return [_mask_to_set(m, h.n) for m in masks]
 
 
@@ -287,7 +284,7 @@ def classify(h: OpTable) -> ClassificationReport:
         zero = h.table == 0
         count = _antichain_count(_row_masks(zero | zero.T), (1 << h.n) - 2)
     else:
-        masks, maximal = _enumerate_masks(h, False)
+        masks, maximal = _enumerate_masks(h.n, _growth(h, False))
         count = len(masks)
     if h.n == 1:
         return ClassificationReport(

@@ -17,15 +17,18 @@ def lex_sort_desc_with_perm(c: BlockCode) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def domination_leq(rows) -> np.ndarray:
     """leq[..., i, j] says row i is dominated-below row j: row j's support
-    is contained in row i's.  Leading axes of `rows` are a batch.
+    is contained in row i's.  Leading axes of `rows` are a batch; the
+    rows are bit-packed into bytes for `_packed_leq`."""
+    return _packed_leq(np.packbits(np.asarray(rows, dtype=np.uint8), axis=-1))
 
-    Rows are bit-packed along the word axis and compared one packed byte
-    column at a time, so memory stays at one boolean per pair of rows.
-    """
-    packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=-1)
-    leq = np.ones(packed.shape[:-1] + packed.shape[-2:-1], dtype=bool)
-    for k in range(packed.shape[-1]):
-        col = packed[..., k]
+
+def _packed_leq(words: np.ndarray) -> np.ndarray:
+    """`domination_leq` of rows packed into integer words along the last
+    axis (bytes for a code, one int64 per census row), compared one word
+    column at a time: one boolean and one word per pair of rows."""
+    leq = np.ones(words.shape[:-1] + words.shape[-2:-1], dtype=bool)
+    for k in range(words.shape[-1]):
+        col = words[..., k]
         leq &= (col[..., None, :] & ~col[..., :, None]) == 0
     return leq
 

@@ -275,6 +275,8 @@ CENSUS_ANCHORS = {
     ("--n", "10", "--sample", "3", "--seed", "18446744073709551621"): "410b654dfdace7c7",
     # more samples than one batch
     ("--n", "12", "--sample", "5000", "--seed", "2"): "c8d0cd1c3bfc1859",
+    # the widest sample: 105 free bits, rows of 16 bits
+    ("--n", "16", "--sample", "2000", "--seed", "3"): "0fc0c9719ffa6ba2",
 }
 
 

@@ -12,6 +12,7 @@ from bckcodes import (
     tail_set_check,
     verify_axioms,
 )
+from bckcodes import filters as F
 
 from conftest import random_codes
 from golden import (
@@ -162,6 +163,26 @@ class TestTailSetCheck:
         emb = direct_algebra(BlockCode.from_strings(LOCAL5_CODE))
         with pytest.raises(UsageError):
             tail_set_check(emb)
+
+    def test_down_set_growth_matches_row_growth(self, monkeypatch):
+        # the embedded dual is order-induced, so the check never reads a row
+        codes = random_codes(60, seed=22) + [BlockCode.from_strings(EMBED9_CODE)]
+        rng = np.random.default_rng(22)
+        codes.append(BlockCode(np.unique(rng.integers(0, 2, (40, 40), dtype=np.uint8), axis=0)))
+        cases = []
+        for code in codes:
+            emb = embed_code(code)
+            members = frozenset({0, *emb.tail_elements})
+            row_growth = F._growth(dualize(emb.algebra), False)
+            cases.append((emb, (members, *F._closure_witness(row_growth, members))))
+
+        def refuse(h):
+            raise AssertionError("the row growth ran on an embedded table")
+
+        monkeypatch.setattr(F, "_pytable", refuse)
+        for emb, want in cases:
+            assert tail_set_check(emb) == want
+        assert {ok for _, (_, ok, _) in cases} == {True, False}
 
     def test_verdict_boundary_over_random_suite(self):
         # the tail set is deductively closed exactly when no code row sits

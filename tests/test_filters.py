@@ -324,13 +324,16 @@ def _induced_duals():
 class TestOrderRouteMatchesRowGrowth:
     """On order-induced tables, the maximal filters, radical, verdicts and
     count read off the order, and the down-set growth of `all_filters`,
-    equal the row-growth breadth-first enumeration of the same table."""
+    `is_filter` (with its witness) and `generated_filter`, equal the row
+    growth of the same table."""
 
     def test_every_induced_table(self):
+        rng = np.random.default_rng(31)
         tables = 0
         for name, h in _induced_duals():
             assert F._require_hilbert(h), name
-            found, maximal = F._enumerate_masks(h, False)
+            row_growth = F._growth(h, False)
+            found, maximal = F._enumerate_masks(h.n, row_growth)
             want_all = [F._mask_to_set(m, h.n) for m in found]
             want_maximal = [F._mask_to_set(m, h.n) for m in maximal]
             assert all_filters(h) == want_all, name
@@ -343,6 +346,18 @@ class TestOrderRouteMatchesRowGrowth:
                 assert report.radical == radical, name
                 assert report.is_semisimple == (radical == {0}), name
                 assert report.is_local == (len(want_maximal) == 1), name
+            # a filter, a filter with one more element, and random sets
+            picks = [set(want_all[int(rng.integers(len(want_all)))])]
+            picks.append(picks[0] | {int(rng.integers(h.n))})
+            picks += [set(np.flatnonzero(rng.random(h.n) < p).tolist()) for p in (0.2, 0.5)]
+            picks += [chosen | {0} for chosen in picks[2:]]
+            for chosen in picks:
+                want = F._closure_witness(row_growth, frozenset(chosen))
+                assert is_filter(h, chosen) == want, (name, chosen)
+                mask = 1
+                for a in sorted(chosen):
+                    mask = row_growth(a, mask)
+                assert generated_filter(h, chosen) == F._mask_to_set(mask, h.n), (name, chosen)
             tables += 1
         assert tables == 6 + 4 * 15 + 2 * 100
 

@@ -82,14 +82,24 @@ class TestDominationLeq:
             assert np.array_equal(got, loop_leq(rows))
 
     def test_batch_of_census_family_matrices(self):
-        n = 7
-        free = (n - 1) * (n - 2) // 2
-        bits = np.random.default_rng(5).integers(0, 2, size=(40, free), dtype=np.uint8)
-        mats = codegen._matrices_from_bits(n, bits)
-        got = domination_leq(mats)
-        assert got.shape == (40, n, n)
-        for mat, leq in zip(mats, got):
-            assert np.array_equal(leq, loop_leq(mat))
+        # the census keeps each matrix as int rows and its order as up-masks
+        for n in (7, 16):  # 16: the widest sampled census
+            free = (n - 1) * (n - 2) // 2
+            bits = np.random.default_rng(5).integers(0, 2, size=(40, free), dtype=np.uint8)
+            mats = np.zeros((40, n, n), dtype=np.uint8)
+            mats[:, np.arange(n), np.arange(n)] = 1
+            mats[:, 0, :] = 1
+            cells = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
+            for b, (i, j) in enumerate(cells):
+                mats[:, i, j] = bits[:, b]
+            rows = codegen._family_rows(n, bits)
+            assert np.array_equal(rows, mats @ np.left_shift(1, np.arange(n - 1, -1, -1)))
+            got = domination_leq(mats)
+            assert got.shape == (40, n, n)
+            for mat, leq, up in zip(mats, got, codegen._domination_up(rows)):
+                want = loop_leq(mat)
+                assert np.array_equal(leq, want)
+                assert up.tolist() == [int(row @ np.left_shift(1, np.arange(n))) for row in want]
 
 
 def sorted_strings(code: BlockCode) -> tuple[str, ...]:
