@@ -34,7 +34,6 @@ from .filters import all_filters, classify, generated_filter, is_filter, maximal
 from .model import (
     DOT,
     STAR,
-    AxiomReport,
     BlockCode,
     CensusReport,
     ClassificationReport,
@@ -47,7 +46,6 @@ from .model import (
 from .posets import hasse_covers
 
 __all__ = [
-    "AxiomReport",
     "BlockCode",
     "CensusReport",
     "ClassificationReport",

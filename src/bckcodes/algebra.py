@@ -6,17 +6,18 @@ import numpy as np
 
 from . import _kernels
 from .errors import UsageError
-from .model import DOT, STAR, AxiomReport, OpTable, Poset, order_fault
+from .model import DOT, STAR, OpTable, Poset, order_fault
 
 KINDS = ("bci", "bck", "hilbert")
 
 
-def verify_axioms(t: OpTable, kind: str) -> AxiomReport:
-    """Check every axiom instance of the requested kind.
+def verify_axioms(t: OpTable, kind: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Check every axiom instance of the requested kind: the (axiom number,
+    witness) pair of each failing axiom, empty when the table passes.
 
     Witnesses are the first violation per axiom in lexicographic (x, y, z)
-    scan order.  The table orientation must match: bci/bck run on star
-    tables, hilbert on dot tables.
+    scan order, so results are reproducible.  The table orientation must
+    match: bci/bck run on star tables, hilbert on dot tables.
 
     An order-induced table passes in closed form, without a scan.  Lemma:
     let the star table (for a dot table, its transpose) have every cell
@@ -49,15 +50,14 @@ def verify_axioms(t: OpTable, kind: str) -> AxiomReport:
     if kind == "hilbert" and t.kind != DOT:
         raise UsageError(f"hilbert axioms apply to dot tables, got a {t.kind} table")
     if _order_induced(t.table.T if kind == "hilbert" else t.table):
-        return AxiomReport(violations=())
+        return ()
     if kind == "hilbert":
         scan = _kernels.hilbert_axiom_scan(t.table)
     else:
         scan = _kernels.bck_axiom_scan(t.table)
         if kind == "bci":
             scan = scan[:4]
-    violations = tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
-    return AxiomReport(violations=violations)
+    return tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
 
 
 def _order_induced(star: np.ndarray) -> bool:
@@ -72,9 +72,9 @@ def _order_induced(star: np.ndarray) -> bool:
 def require_axioms(t: OpTable, kind: str) -> None:
     """Raise a UsageError naming the first failing axiom unless `t` passes
     the "bck" or "hilbert" axioms."""
-    report = verify_axioms(t, kind)
-    if not report.passed:
-        axiom, witness = report.violations[0]
+    violations = verify_axioms(t, kind)
+    if violations:
+        axiom, witness = violations[0]
         name = "a BCK-algebra" if kind == "bck" else "a Hilbert algebra"
         raise UsageError(f"table is not {name} (axiom {axiom} fails at {witness})")
 

@@ -127,27 +127,27 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     t = _load_algebra(args.algfile)
-    report = verify_axioms(t, args.kind)
+    violations = verify_axioms(t, args.kind)
     if args.json:
         _emit_json(
             {
                 "command": "verify",
                 "kind": args.kind,
                 "n": t.n,
-                "passed": report.passed,
+                "passed": not violations,
                 "violations": [
                     {"axiom": axiom, "witness": list(witness)}
-                    for axiom, witness in report.violations
+                    for axiom, witness in violations
                 ],
             }
         )
     else:
         print(f"kind: {args.kind}")
         print(f"n: {t.n}")
-        print(f"passed: {'yes' if report.passed else 'no'}")
-        for axiom, witness in report.violations:
+        print(f"passed: {'no' if violations else 'yes'}")
+        for axiom, witness in violations:
             print(f"axiom {axiom} violated at ({_witness_str(witness, t)})")
-    return 0 if report.passed else 1
+    return 1 if violations else 0
 
 
 def _cmd_props(args) -> int:
@@ -335,7 +335,7 @@ def _cmd_census(args) -> int:
                 "mode": report.mode,
                 "seed": args.seed if report.mode == "sample" else None,
                 "class_count": report.class_count,
-                "bound": report.bound,
+                "bound": report.total_matrices,
                 "bound_met": report.bound_met,
                 "classes": [
                     {"size": size, "representative": list(rep)}
@@ -350,12 +350,12 @@ def _cmd_census(args) -> int:
     if report.mode == "exhaustive":
         print(
             f"{report.total_matrices} matrices, {report.class_count} classes, "
-            f"bound {report.bound}, bound met: {met}"
+            f"bound {report.total_matrices}, bound met: {met}"
         )
     else:
         print(
             f"sampled {report.evaluated} of {report.total_matrices} matrices (seed {args.seed}), "
-            f"{report.class_count} classes, bound {report.bound}, bound met: {met}"
+            f"{report.class_count} classes, bound {report.total_matrices}, bound met: {met}"
         )
     return 0
 

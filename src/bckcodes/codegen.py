@@ -116,8 +116,12 @@ def local_family(n: int, free_bits="") -> BlockCode:
 # ---------------------------------------------------------------------------
 
 def _bits_from_indices(ks: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return ((ks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    """Each int of ks as `width` bits, the highest first, decoded one
+    column at a time."""
+    bits = np.empty((len(ks), width), dtype=np.uint8)
+    for j in range(width):
+        bits[:, j] = ks >> (width - 1 - j) & 1
+    return bits
 
 
 def _family_rows(n: int, bits: np.ndarray) -> np.ndarray:
@@ -224,7 +228,12 @@ def _sample_bits(seed: int, count: int, free: int) -> np.ndarray:
     rejects.  The 128-bit LCG runs over lanes, one per draw of a batch of
     _BATCH samples (a whole number of draws), and jumps every lane ahead by
     a batch at once, so the working memory is one batch."""
-    out = np.empty((count, free), dtype=np.uint8)
+    try:
+        out = np.empty((count, free), dtype=np.uint8)
+    except (ValueError, MemoryError):  # numpy refuses the shape or the bytes
+        raise UsageError(
+            f"a sample of {count} matrices with {free} free bits does not fit in memory"
+        ) from None
     if not out.size:
         return out
     state, inc = _pcg_start(seed)
@@ -411,7 +420,7 @@ def _suffix_blocks(m: int):
     free = (m - 1) * (m - 2) // 2
     for lo in range(0, 1 << free, _BATCH):
         hi = min(lo + _BATCH, 1 << free)
-        yield lo, hi, _family_rows(m, _bits_from_indices(np.arange(lo, hi, dtype=np.uint64), free))
+        yield lo, hi, _family_rows(m, _bits_from_indices(np.arange(lo, hi), free))
 
 
 def _exhaustive_classes(n: int, keyer) -> tuple[np.ndarray, np.ndarray]:
@@ -481,6 +490,8 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     """
     if n < 2:
         raise UsageError("census needs n >= 2")
+    if jobs < 1:
+        raise UsageError("jobs must be positive")
     free = (n - 1) * (n - 2) // 2
     total = 1 << free
     if sample_count is None:
@@ -489,9 +500,9 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
                 f"exhaustive census is limited to n <= {CENSUS_EXHAUSTIVE_MAX_N} "
                 f"({total} matrices at n={n}); use sampling instead"
             )
-        evaluated = total
-        sample_bits = None
-        mode = "exhaustive"
+        evaluated, mode = total, "exhaustive"
+        search = functools.partial(_exhaustive_classes, n)
+        bits_at = functools.partial(_bits_from_indices, width=free)  # free bits by matrix index
     else:
         if n > CENSUS_SAMPLE_MAX_N:
             raise UsageError(f"census is limited to n <= {CENSUS_SAMPLE_MAX_N}")
@@ -500,29 +511,18 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
         if seed < 0:
             raise UsageError("seed must be non-negative")
         sample_bits = _sample_bits(seed, sample_count, free)
-        evaluated = sample_count
-        mode = "sample"
-    if jobs < 1:
-        raise UsageError("jobs must be positive")
+        evaluated, mode = sample_count, "sample"
+        search = functools.partial(_sampled_classes, n, sample_bits)
+        bits_at = sample_bits.__getitem__  # free bits by sample position
 
     workers = min(jobs, _usable_cpus(), evaluated)
-    if sample_bits is None:
-        search = functools.partial(_exhaustive_classes, n)
-    else:
-        search = functools.partial(_sampled_classes, n, sample_bits)
     if workers == 1:
         sizes, positions = search(functools.partial(_keyed, map, 1))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             sizes, positions = search(functools.partial(_keyed, pool.map, workers))
 
-    if sample_bits is None:
-        bits = _bits_from_indices(positions.astype(np.uint64), free)
-    else:
-        bits = sample_bits[positions]
-    # each int row as 16 bits, of which the last n are the matrix row
-    digits = np.unpackbits(_family_rows(n, bits).astype(">u2").view(np.uint8).reshape(-1, 2), axis=1)
-    strings = row_strings(digits[:, 16 - n :])
+    strings = row_strings(_bits_from_indices(_family_rows(n, bits_at(positions)).ravel(), n))
     return CensusReport(
         n=n,
         free_bits=free,
@@ -532,6 +532,5 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
         class_count=len(sizes),
         class_sizes=tuple(sizes.tolist()),
         class_representatives=tuple(strings[i : i + n] for i in range(0, len(strings), n)),
-        bound=total,
         bound_met=len(sizes) >= total,
     )

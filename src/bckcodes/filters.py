@@ -38,7 +38,7 @@ from .algebra import _order_induced, dualize, require_axioms
 from .errors import UsageError
 from .model import DOT, STAR, ClassificationReport, OpTable
 
-# enumeration is exponential in the worst case; warn past this carrier size
+# enumeration and the antichain count are exponential; warn past this size
 ENUMERATION_WARN_SIZE = 16
 
 
@@ -54,14 +54,11 @@ def _require_hilbert(h: OpTable) -> bool:
     return False
 
 
-def _enumeration_route(h: OpTable) -> bool:
-    """`_require_hilbert`, and the warning on stderr past
-    ENUMERATION_WARN_SIZE elements that every listing or count of the
-    filters gives."""
-    induced = _require_hilbert(h)
-    if h.n > ENUMERATION_WARN_SIZE:
-        print(f"warning: enumerating filters of a {h.n}-element algebra may be slow", file=sys.stderr)
-    return induced
+def _warn_if_slow(n: int) -> None:
+    """The warning on stderr before exponential work on more than
+    ENUMERATION_WARN_SIZE elements."""
+    if n > ENUMERATION_WARN_SIZE:
+        print(f"warning: enumerating filters of a {n}-element algebra may be slow", file=sys.stderr)
 
 
 def _pytable(h: OpTable) -> tuple[tuple[int, ...], ...]:
@@ -154,6 +151,7 @@ def _enumerate_masks(n: int, grow) -> tuple[list[int], list[int]]:
     elements; a proper filter is maximal exactly when every such growth is
     the carrier.  `grow` is the `_growth` of the n-element table.
     """
+    _warn_if_slow(n)
     carrier = (1 << n) - 1
     found = {1}
     maximal = []
@@ -255,14 +253,14 @@ def all_filters(h: OpTable) -> list[frozenset[int]]:
 
     Output order: cardinality, then bitmask value.
     """
-    grow = _growth(h, _enumeration_route(h))
+    grow = _growth(h, _require_hilbert(h))
     return [_mask_to_set(m, h.n) for m in _enumerate_masks(h.n, grow)[0]]
 
 
 def maximal_filters(h: OpTable) -> list[frozenset[int]]:
     """Proper filters maximal under inclusion among proper filters; empty
     for the one-element algebra.  Read off the order on an induced table."""
-    if _enumeration_route(h):
+    if _require_hilbert(h):
         masks = _order_maximal(h)
     else:
         masks = _enumerate_masks(h.n, _growth(h, False))[1]
@@ -279,9 +277,10 @@ def classify(h: OpTable) -> ClassificationReport:
     """
     if h.kind == STAR:
         h = dualize(h)
-    if _enumeration_route(h):
+    if _require_hilbert(h):
         maximal = _order_maximal(h)
         zero = h.table == 0
+        _warn_if_slow(h.n)
         count = _antichain_count(_row_masks(zero | zero.T), (1 << h.n) - 2)
     else:
         masks, maximal = _enumerate_masks(h.n, _growth(h, False))

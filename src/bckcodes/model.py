@@ -74,22 +74,6 @@ class OpTable:
         )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of an exhaustive axiom scan.
-
-    `violations` holds (axiom number, witness) pairs; the witness is the
-    first offending tuple in lexicographic scan order, so reports are
-    reproducible.
-    """
-
-    violations: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def row_strings(rows) -> tuple[str, ...]:
     """The rows of a 0/1 matrix as bit strings: the digits as ASCII bytes,
     each row viewed as one fixed-width byte string and decoded."""
@@ -287,7 +271,8 @@ class RoundtripReport:
 @dataclass(frozen=True)
 class CensusReport:
     """Isomorphism census over the all-ones-first upper-triangular matrix
-    family, compared against the 2^((n-1)(n-2)/2) matrix-count bound."""
+    family, compared against the matrix-count bound: `total_matrices`,
+    2^((n-1)(n-2)/2)."""
 
     n: int
     free_bits: int
@@ -297,5 +282,4 @@ class CensusReport:
     class_count: int
     class_sizes: tuple[int, ...]
     class_representatives: tuple[tuple[str, ...], ...]
-    bound: int
     bound_met: bool

@@ -203,10 +203,10 @@ def test_criterion_06_duality_suite(corpus):
     for code in random_codes(200, seed=606):
         algebras.append(embed_code(code).algebra)
     for alg in algebras:
-        assert verify_axioms(alg, "bck").passed
+        assert verify_axioms(alg, "bck") == ()
         assert bck_properties(alg)["positive_implicative"] is None
         dual = dualize(alg)
-        assert verify_axioms(dual, "hilbert").passed
+        assert verify_axioms(dual, "hilbert") == ()
         assert dualize(dual) == alg
     report(6, "duality property suite", started, f"{len(algebras)} algebras")
 
@@ -256,7 +256,7 @@ def test_criterion_09_census(capsys):
     for n, (classes, bound, met) in expectations.items():
         rep = census(n)
         assert rep.class_count == classes, n
-        assert rep.bound == bound and rep.total_matrices == bound, n
+        assert rep.total_matrices == bound, n
         assert rep.bound_met is met, n
         assert rep.class_count == len(posets_up_to_iso(n - 1)), n
 

@@ -189,7 +189,6 @@ class TestCensus:
     def test_small_counts(self, n, expected_classes, expected_total, met):
         report = census(n)
         assert report.total_matrices == expected_total
-        assert report.bound == expected_total
         assert report.class_count == expected_classes
         assert report.bound_met is met
         assert sum(report.class_sizes) == report.evaluated == expected_total
@@ -293,10 +292,20 @@ class TestCensus:
         assert report.evaluated == sum(report.class_sizes) == 20
         assert report.free_bits == 15 * 14 // 2
 
+    def test_jobs_checked_before_the_sample_is_drawn(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sample drawn before jobs was checked")
+
+        monkeypatch.setattr(codegen, "_sample_bits", refuse)
+        with pytest.raises(UsageError, match="jobs must be positive"):
+            census(16, sample_count=150000, jobs=0)
+        with pytest.raises(UsageError, match="jobs must be positive"):
+            census(4, jobs=0)
+
     def test_n2_degenerate_family(self):
         report = census(2)
         assert report.class_count == 1
-        assert report.bound == 1
+        assert report.total_matrices == 1
         assert report.bound_met
 
     def test_representative_matrices_regenerate_classes(self):
@@ -396,7 +405,6 @@ def _keyed_report(n: int, indices, mode: str) -> CensusReport:
         class_count=len(ordered),
         class_sizes=tuple(size for size, _ in ordered),
         class_representatives=reps,
-        bound=total,
         bound_met=len(ordered) >= total,
     )
 
@@ -560,6 +568,32 @@ class TestCensusKeys:
             alone_p, alone_rows = codegen._census_labellings(one[None])
             assert np.array_equal(alone_p[0], p[i]), one
             assert np.array_equal(alone_rows[0], rows[i]), one
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_sampled_orders_past_the_brute_force(self, n):
+        """Where `census --sample` runs but (n-1)! relabelings are out of
+        reach: a theta-fixing relabeling of an order gets its key rows, each
+        order relabelled by its p has the key rows as its table's rows, and
+        a shuffled batch keys each order as it is keyed alone."""
+        rng = np.random.default_rng(n)
+        free = (n - 1) * (n - 2) // 2
+        up = codegen._domination_up(codegen._family_rows(n, codegen._sample_bits(n, 40, free)))
+        leq = (up[:, :, None] >> np.arange(n) & 1).astype(bool)
+        moved = []
+        for order in leq:
+            q = np.r_[0, 1 + rng.permutation(n - 1)]
+            moved.append(order[np.ix_(q, q)])
+        leq = np.concatenate((leq, moved))
+        p, rows = codegen._census_labellings(codegen._up_masks(leq))
+        assert (p[:, 0] == 0).all() and (np.sort(p, axis=1) == np.arange(n)).all()
+        assert np.array_equal(_table_rows(_relabelled(leq, p)), rows)
+        assert np.array_equal(rows[40:], rows[:40])
+        shuffle = rng.permutation(len(leq))
+        shuffled = codegen._census_labellings(codegen._up_masks(leq[shuffle]))
+        for i, j in enumerate(shuffle.tolist()):
+            alone = codegen._census_labellings(codegen._up_masks(leq[j])[None])
+            assert np.array_equal(alone[0][0], p[j]) and np.array_equal(alone[1][0], rows[j]), j
+            assert np.array_equal(shuffled[0][i], p[j]) and np.array_equal(shuffled[1][i], rows[j]), j
 
     def test_twin_heavy_batch_mixed_with_random_orders_against_brute_force(self):
         rng = np.random.default_rng(9)

@@ -61,13 +61,13 @@ class TestAlgebraFiles:
         t = parse_algebra_file(fixture_text("local5_star.alg"))
         assert t.kind == STAR
         assert np.array_equal(t.table, LOCAL5_STAR)
-        assert verify_axioms(t, "bck").passed
+        assert verify_axioms(t, "bck") == ()
 
     def test_semi4_dot_fixture(self):
         t = parse_algebra_file(fixture_text("semisimple4_dot.alg"))
         assert t.kind == DOT
         assert np.array_equal(t.table, SEMI4_DOT)
-        assert verify_axioms(t, "hilbert").passed
+        assert verify_axioms(t, "hilbert") == ()
 
     def test_embed9_fixture(self):
         t = parse_algebra_file(fixture_text("embed9_star.alg"))
@@ -94,7 +94,7 @@ class TestAlgebraFiles:
         t = parse_algebra_file(text)
         assert np.array_equal(t.table, [[0, 0], [1, 0]])
         assert t.labels == ("θ", "a")
-        assert verify_axioms(t, "bck").passed
+        assert verify_axioms(t, "bck") == ()
 
     def test_theta_renumbering_matches_plain_relabeling(self):
         # a 6-element chain, theta lowest, stored with theta at index 3
@@ -114,7 +114,7 @@ class TestAlgebraFiles:
                 want[new_of[a]][new_of[b]] = new_of[table[a][b]]
         assert t.table.tolist() == want
         assert t.labels == tuple(labels[x] for x in order)
-        assert verify_axioms(t, "bck").passed
+        assert verify_axioms(t, "bck") == ()
 
     def test_roundtrip_on_fixtures(self):
         for name in (

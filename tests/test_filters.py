@@ -1,3 +1,5 @@
+import functools
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -180,17 +182,24 @@ class TestMaximalFilters:
 
 class TestEnumerationWarning:
     def test_large_carrier_warns_on_stderr(self, capsys):
-        # 17-element chain: cheap to enumerate but past the warning size
-        n = 17
-        table = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if i > j:
-                    table[i, j] = i
-        found = all_filters(dot_table(table.T.copy()))
+        """Enumeration and the antichain count warn once; the maximal
+        filters of an order-induced table are read off the order and do not
+        warn.  The Heyting algebra of the 32 down-sets of a 5-point antichain
+        is induced by no poset, so all three enumerate."""
+        x, y = np.indices((17, 17))
+        chain = dot_table(np.where(y <= x, 0, y))  # the dual of the 17-chain's star table
         # the filters of a chain are its prefixes
-        assert len(found) == n
+        assert len(all_filters(chain)) == 17
         assert "may be slow" in capsys.readouterr().err
+        table, theta = heyting_downsets(np.eye(5, dtype=bool))
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+        heyting = parse_algebra_file(f"kind dot\nn 32\ntheta {theta}\n{rows}")
+        assert F._require_hilbert(chain) and not F._require_hilbert(heyting)
+        for h, silent in ((chain, {maximal_filters}), (heyting, set())):
+            for compute in (all_filters, maximal_filters, classify):
+                compute(h)
+                warning = f"warning: enumerating filters of a {h.n}-element algebra may be slow\n"
+                assert capsys.readouterr().err == ("" if compute in silent else warning), compute
 
 
 class TestClassify:
@@ -305,16 +314,21 @@ class TestHeytingDownsets:
 
 def _induced_duals():
     """(name, dot table) for every table the order route serves in the
-    oracle tests: the fixtures, both families up to n = 16 and 100 seeded
-    codes with at most 8 words of at most 8 bits, built both ways."""
+    oracle tests: the fixtures, the family tables and 100 seeded codes with
+    at most 8 words of at most 8 bits, built both ways.  The wide family
+    tables, semisimple and zero-bit local with 2^(n-1) + 1 and 2^(n-2) + 1
+    filters, run up to n = 13; the all-ones and seeded local ones to 16."""
     for path in sorted(FIXTURES.glob("*.alg")):
         t = parse_algebra_file(path.read_text(encoding="utf-8"))
         yield path.name, dualize(t) if t.kind == STAR else t
     rng = np.random.default_rng(13)
     for n in range(2, 17):
-        yield f"semisimple{n}", dualize(direct_algebra(semisimple_family(n)).algebra)
         free = local_family_free_bit_count(n)
-        for bits in ("0" * free, "1" * free, "".join(map(str, rng.integers(0, 2, free)))):
+        local_bits = ["1" * free, "".join(map(str, rng.integers(0, 2, free)))]
+        if n <= 13:
+            yield f"semisimple{n}", dualize(direct_algebra(semisimple_family(n)).algebra)
+            local_bits.insert(0, "0" * free)
+        for bits in local_bits:
             yield f"local{n}:{bits}", dualize(direct_algebra(local_family(n, bits)).algebra)
     for i, code in enumerate(random_codes(100, seed=1313)):
         yield f"embedded{i}", dualize(embed_code(code).algebra)
@@ -328,26 +342,27 @@ class TestOrderRouteMatchesRowGrowth:
     growth of the same table."""
 
     def test_every_induced_table(self):
+        def masks(sets) -> list[int]:
+            return [sum(1 << i for i in s) for s in sets]
+
         rng = np.random.default_rng(31)
         tables = 0
         for name, h in _induced_duals():
             assert F._require_hilbert(h), name
             row_growth = F._growth(h, False)
             found, maximal = F._enumerate_masks(h.n, row_growth)
-            want_all = [F._mask_to_set(m, h.n) for m in found]
-            want_maximal = [F._mask_to_set(m, h.n) for m in maximal]
-            assert all_filters(h) == want_all, name
-            assert maximal_filters(h) == want_maximal, name
+            assert masks(all_filters(h)) == found, name
+            assert masks(maximal_filters(h)) == maximal, name
             report = classify(h)
             assert report.all_filter_count == len(found), name
-            assert list(report.maximal_filters) == want_maximal, name
+            assert masks(report.maximal_filters) == maximal, name
             if h.n > 1:
-                radical = frozenset(range(h.n)).intersection(*want_maximal)
-                assert report.radical == radical, name
-                assert report.is_semisimple == (radical == {0}), name
-                assert report.is_local == (len(want_maximal) == 1), name
+                radical = functools.reduce(operator.and_, maximal, (1 << h.n) - 1)
+                assert masks([report.radical]) == [radical], name
+                assert report.is_semisimple == (radical == 1), name
+                assert report.is_local == (len(maximal) == 1), name
             # a filter, a filter with one more element, and random sets
-            picks = [set(want_all[int(rng.integers(len(want_all)))])]
+            picks = [set(F._mask_to_set(found[int(rng.integers(len(found)))], h.n))]
             picks.append(picks[0] | {int(rng.integers(h.n))})
             picks += [set(np.flatnonzero(rng.random(h.n) < p).tolist()) for p in (0.2, 0.5)]
             picks += [chosen | {0} for chosen in picks[2:]]
@@ -359,7 +374,7 @@ class TestOrderRouteMatchesRowGrowth:
                     mask = row_growth(a, mask)
                 assert generated_filter(h, chosen) == F._mask_to_set(mask, h.n), (name, chosen)
             tables += 1
-        assert tables == 6 + 4 * 15 + 2 * 100
+        assert tables == 6 + 4 * 12 + 2 * 3 + 2 * 100
 
 
 def _brute_downset_count(leq: np.ndarray) -> int:
@@ -471,4 +486,4 @@ class TestMaximalFiltersAtCodeScale:
             (frozenset(range(n)) - {m} for m in tops), key=lambda s: (len(s), sum(1 << i for i in s))
         )
         assert maximal_filters(dualize(star)) == want
-        assert capsys.readouterr().err == "warning: enumerating filters of a 201-element algebra may be slow\n"
+        assert capsys.readouterr().err == ""  # O(n^2) on an induced table: no warning
