@@ -114,72 +114,72 @@ def bck_order(t: OpTable) -> Poset:
     return poset
 
 
-def refine_colors(table: np.ndarray) -> list[int]:
-    """Iterated partition refinement: invariant color per element.
+def refine_colors(a: np.ndarray, b: np.ndarray, colors=None) -> list[int]:
+    """Joint iterated partition refinement of two n×n tables: the colors of
+    a's elements, then of b's, with ids both tables share.
 
-    Colors start from (is theta, #y with x∘y=theta, #y with y∘x=theta).  Each
-    round gives x the signature row (its color, then the sorted codes
-    c(y)·k² + c(x∘y)·k + c(y∘x) over all y, k colors in use); it stops when
-    the number of colors stops growing.  Color ids number the distinct
-    signature rows in sorted byte order, a function of the signatures alone,
-    so isomorphic tables get identical color multisets.
+    Colors start from `colors`, or from (is theta, #y with x∘y=theta, #y
+    with y∘x=theta).  Each round gives x the signature row (its color, then
+    the sorted codes c(y)·k² + c(x∘y)·k + c(y∘x) over all y of its table, k
+    colors in use).  Color ids number the distinct signature rows in sorted
+    byte order, so an isomorphism that keeps the starting colors keeps every
+    refined color.  Refinement stops when the number of colors stops
+    growing, or once the tables' color multisets differ: a round only
+    splits colors, so no later round could make them equal again.
     """
-    t = np.asarray(table)
-    zero = t == 0
-    sig = np.stack([np.arange(len(t)) == 0, zero.sum(axis=1), zero.sum(axis=0)], axis=1).astype(np.int64)
+    t, n = np.array([a, b], dtype=np.int64), len(a)
+    if colors is None:
+        zero = t == 0
+        sig = np.column_stack([np.arange(2 * n) % n == 0, zero.sum(axis=2).ravel(), zero.sum(axis=1).ravel()])
+    else:
+        sig = np.asarray(colors)[:, None]
+    t[1] += n  # entries now index the joint color vector
     k = 0
     while True:
         keys = [row.tobytes() for row in sig]
         ids = {key: i for i, key in enumerate(sorted(set(keys)))}
         colors = np.array([ids[key] for key in keys], dtype=np.int64)
-        if len(ids) == k:
+        if len(ids) == k or not np.array_equal(np.sort(colors[:n]), np.sort(colors[n:])):
             return colors.tolist()
         k = len(ids)
-        codes = np.sort(colors[None, :] * k * k + colors[t] * k + colors[t.T], axis=1)
-        sig = np.column_stack([colors, codes])
+        codes = np.sort((colors.reshape(2, 1, n) * k + colors[t]) * k + colors[t.transpose(0, 2, 1)], axis=2)
+        sig = np.column_stack([colors, codes.reshape(2 * n, n)])
 
 
 def are_isomorphic(t1: OpTable, t2: OpTable) -> tuple[int, ...] | None:
     """The lexicographically first theta-fixing isomorphism (entry x is the
     image of element x), or None when there is none.
 
-    Theta goes to theta, then elements 1..n-1 are placed in index order,
-    each trying the unused elements of its refined color in index order.
-    Placing x at y is kept while row x and column x of the placed prefix
-    agree with the second table, and a full assignment only after every
-    equation is checked.  One iterator per level replaces recursion.
+    While a color of the joint refinement is not one element per table, its
+    first element x is placed at each y of that color in the second table,
+    in index order: x and y get a fresh color and both tables are refined
+    again, dropping colorings whose multisets differ.  Refinement never
+    prunes an isomorphism and forced elements come first, so the first
+    discrete coloring that carries every cell is the answer (McKay &
+    Piperno, Practical graph isomorphism II, 2014).
     """
     if t1.kind != t2.kind:
         raise UsageError("cannot compare tables of different kinds")
     for t in (t1, t2):
         require_axioms(t, "hilbert" if t.kind == DOT else "bck")
-    n = t1.n
-    if n != t2.n:
+    if t1.n != t2.n:
         return None
-
-    a, b = t1.table, t2.table
-    colors1, colors2 = np.array(refine_colors(a)), np.array(refine_colors(b))
-    if not np.array_equal(np.sort(colors1), np.sort(colors2)):
-        return None
-    m = np.full(n, -1, dtype=np.int64)  # -1 until placed
-    levels = [iter([0])]  # levels[x] yields the untried candidates for element x
-    while levels:
-        x = len(levels) - 1
-        for y in levels[-1]:
-            m[x] = y
-            placed = m[: x + 1]
-            row, col = m[a[x, : x + 1]], m[a[: x + 1, x]]
-            if ((row < 0) | (row == b[y, placed])).all() and ((col < 0) | (col == b[placed, y])).all():
-                break
-        else:
-            m[x] = -1
+    a, b, n = t1.table, t2.table, t1.n
+    levels = []  # (colors, element x, x's untried images) per placement
+    c = np.array(refine_colors(a, b))
+    while True:
+        if np.array_equal(np.sort(c[:n]), np.sort(c[n:])):
+            size = np.bincount(c[:n])[c[:n]]
+            if size.max() > 1:
+                x = int(np.argmax(size > 1))
+                levels.append((c, x, iter(np.flatnonzero(c[n:] == c[x]).tolist())))
+            else:
+                m = np.argsort(c[n:])[c[:n]]
+                if np.array_equal(m[a], b[m[:, None], m[None, :]]):
+                    return tuple(m.tolist())
+        while levels and (y := next(levels[-1][2], None)) is None:
             levels.pop()
-            continue
-        if x + 1 < n:
-            # m[: x + 1] is fixed while this level lives: leave its images out once
-            unused = np.bincount(m[: x + 1], minlength=n) == 0
-            levels.append(iter(np.flatnonzero((colors2 == colors1[x + 1]) & unused).tolist()))
-        elif np.array_equal(m[a], b[m[:, None], m[None, :]]):
-            # a[u, v] placed after max(u, v) escapes the prefix checks
-            return tuple(m.tolist())
-    return None
+        if not levels:
+            return None
+        p, x, _ = levels[-1]
+        c = np.array(refine_colors(a, b, np.where(np.isin(np.arange(2 * n), (x, n + y)), p.max() + 1, p)))

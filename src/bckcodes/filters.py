@@ -40,6 +40,9 @@ from .model import DOT, STAR, ClassificationReport, OpTable
 
 # enumeration and the antichain count are exponential; warn past this size
 ENUMERATION_WARN_SIZE = 16
+# memoised sets after which the antichain count gives up with a UsageError
+# (5-7 s of work on a shared 2-vCPU VM)
+ANTICHAIN_STATE_BUDGET = 1 << 18
 
 
 def _require_hilbert(h: OpTable) -> bool:
@@ -226,7 +229,8 @@ def _antichain_count(comparable: list[int], s: int) -> int:
     """The number of antichains of the elements in s, where comparable[v]
     holds v and every element comparable to it.  Components multiply; each
     connected set is split by `_branches`, memoised, and evaluated from an
-    explicit stack, so depth does not grow with the order."""
+    explicit stack, so depth does not grow with the order.  Past
+    ANTICHAIN_STATE_BUDGET memoised sets it raises a UsageError."""
     memo: dict[int, int] = {}
     plans: dict[int, tuple[list[list[int]], int]] = {}
     roots = _components(comparable, s)
@@ -245,6 +249,11 @@ def _antichain_count(comparable: list[int], s: int) -> int:
         branches, extra = plans.pop(c)
         memo[c] = extra + sum(math.prod(memo[d] for d in branch) for branch in branches)
         stack.pop()
+        if len(memo) > ANTICHAIN_STATE_BUDGET:
+            raise UsageError(
+                f"counting the filters of a {len(comparable)}-element algebra needs more than "
+                f"{ANTICHAIN_STATE_BUDGET} states; the count is not available at this size"
+            )
     return math.prod(memo[c] for c in roots)
 
 

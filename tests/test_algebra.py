@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -390,6 +391,19 @@ def relabel(t: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return out
 
 
+def embedded(edges, vertices: int) -> OpTable:
+    """The embedded algebra of the incidence code of a graph: one word per
+    edge, with the bits of its two ends."""
+    rows = np.zeros((len(edges), vertices), dtype=np.uint8)
+    for i, (u, v) in enumerate(edges):
+        rows[i, [u, v]] = 1
+    return embed_code(BlockCode(rows)).algebra
+
+
+def cycle_edges(k: int, start: int = 0) -> list[tuple[int, int]]:
+    return [(start + i, start + (i + 1) % k) for i in range(k)]
+
+
 class TestIsoOracle:
     """`are_isomorphic` returns exactly the lexicographically first
     theta-fixing isomorphism, checked by brute force on small tables that a
@@ -413,6 +427,8 @@ class TestIsoOracle:
                     text = f"kind dot\nn {len(table)}\ntheta {theta}\n"
                     text += "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
                     tables.append(parse_algebra_file(text))
+        # embedded cycle codes: every word looks alike, so the search must branch
+        tables += [embedded(cycle_edges(k), k) for k in (3, 4)]
         return tables
 
     def test_first_isomorphism_matches_brute_force(self):
@@ -432,9 +448,50 @@ class TestIsoOracle:
         rng = np.random.default_rng(43)
         for t in self.tables():
             perm = np.concatenate(([0], 1 + rng.permutation(t.n - 1)))
-            colors = np.array(refine_colors(t.table))
-            moved = np.array(refine_colors(relabel(t.table, perm)))
-            assert np.array_equal(moved[perm], colors)
+            colors = np.array(refine_colors(t.table, relabel(t.table, perm)))
+            assert np.array_equal(colors[t.n :][perm], colors[: t.n])
+
+
+class TestIsoOnSymmetricCodes:
+    """Codes whose words all look alike: one colour refinement leaves whole
+    classes, so the search has to branch and refine again.  Each answer
+    comes in well under a second (exponential without the refinement)."""
+
+    @staticmethod
+    def relabelled(t: OpTable, seed: int) -> OpTable:
+        rng = np.random.default_rng(seed)
+        return OpTable(table=relabel(t.table, np.concatenate(([0], 1 + rng.permutation(t.n - 1)))), kind=t.kind)
+
+    @staticmethod
+    def timed(t1: OpTable, t2: OpTable):
+        start = time.perf_counter()
+        mapping = are_isomorphic(t1, t2)
+        assert time.perf_counter() - start < 1.0
+        if mapping is not None:
+            m = np.array(mapping)
+            assert np.array_equal(m[t1.table], t2.table[m[:, None], m[None, :]])
+        return mapping
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_cycle_against_relabelling_and_two_half_cycles(self, k):
+        cycle = embedded(cycle_edges(k), k)
+        assert cycle.n == 2 * k + 1
+        assert self.timed(cycle, self.relabelled(cycle, k)) is not None
+        halves = embedded(cycle_edges(k // 2) + cycle_edges(k // 2, k // 2), k)
+        assert self.timed(cycle, halves) is None
+
+    def test_complete_graph_k7_against_relabelling(self):
+        k7 = embedded(list(itertools.combinations(range(7), 2)), 7)
+        assert k7.n == 29
+        assert self.timed(k7, self.relabelled(k7, 7)) is not None
+
+    def test_petersen_against_relabelling_and_prism(self):
+        spokes = [(i, 5 + i) for i in range(5)]
+        petersen = embedded(cycle_edges(5) + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + spokes, 10)
+        prism = embedded(cycle_edges(5) + cycle_edges(5, 5) + spokes, 10)
+        assert self.timed(petersen, self.relabelled(petersen, 10)) is not None
+        assert self.timed(petersen, prism) is None
+        assert self.timed(prism, self.relabelled(prism, 5)) is not None
 
 
 class TestRelabelInvariance:

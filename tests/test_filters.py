@@ -1,5 +1,6 @@
 import functools
 import operator
+import random
 from itertools import combinations
 
 import numpy as np
@@ -426,6 +427,38 @@ class TestAntichainCount:
         level = np.arange(1200) // 2
         ladder = (level[:, None] < level[None, :]) | np.eye(1200, dtype=bool)
         assert _antichains(ladder) == 1 + 1200 + 600
+
+
+def _embedded_random(k: int) -> OpTable:
+    """The embedded algebra of k distinct seeded random k-bit words (Python's
+    `random`, whose stream does not depend on the numpy version)."""
+    rng = random.Random(k)
+    words = {rng.getrandbits(k) for _ in range(2 * k)}
+    return embed_code(BlockCode.from_strings(sorted(f"{w:0{k}b}" for w in words)[:k])).algebra
+
+
+class TestAntichainBudget:
+    """The count gives up with a UsageError past ANTICHAIN_STATE_BUDGET
+    memoised sets, and a count that fits is the one it always gave."""
+
+    def test_embedded_40x40_count_fits(self, monkeypatch):
+        star = _embedded_random(40)
+        assert classify(star).all_filter_count == 2749618505164
+        monkeypatch.setattr(F, "ANTICHAIN_STATE_BUDGET", 1000)
+        with pytest.raises(UsageError, match="filters of a 81-element algebra needs more than 1000 states"):
+            classify(star)
+
+    def test_cli_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c30.alg"
+        path.write_text(serialize_algebra(_embedded_random(30)), encoding="utf-8")
+        monkeypatch.setattr(F, "ANTICHAIN_STATE_BUDGET", 1000)
+        assert run_command(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if not line.startswith("warning:")] == [
+            "error: counting the filters of a 61-element algebra needs more than 1000 states; "
+            "the count is not available at this size"
+        ]
 
 
 class TestOrderRouteSkipsRowGrowth:
