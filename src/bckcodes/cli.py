@@ -323,7 +323,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    report = census(args.n, sample_count=args.sample, seed=args.seed, jobs=args.jobs)
+    report = census(args.n, sample_count=args.sample, seed=args.seed)
     if args.json:
         _emit_json(
             {
@@ -491,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sample", type=int, help="sample this many assignments instead of exhausting")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_census)
 

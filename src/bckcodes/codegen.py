@@ -3,9 +3,8 @@ families, and the isomorphism census with its matrix-count bound: exhaustive
 up to n = 8 by factoring row 1 out of the enumeration, sampled above."""
 from __future__ import annotations
 
-import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -344,17 +343,31 @@ def _groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], group
 
 
-def _keyed(mapper, workers: int, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_census_labellings` of a batch of orders, mapped by `mapper` (`map`
-    or a pool's) over at least `workers` contiguous chunks of at most
-    _BATCH orders.  A chunk may be empty."""
-    parts = max(workers, -(-len(up) // _BATCH))
-    bounds = np.linspace(0, len(up), parts + 1, dtype=np.int64).tolist()
-    out = list(mapper(_census_labellings, [up[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, so `taskset` narrows them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _keyed(up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_census_labellings` of a batch of orders, split into equal
+    contiguous chunks of at most _BATCH orders and run on min(chunks,
+    usable CPUs) threads, or in this thread when that is 1.  The search
+    runs in numpy, which releases the GIL.  The chunks are joined in order,
+    so the result is the same for any thread count."""
+    chunks = np.array_split(up, max(1, -(-len(up) // _BATCH)))
+    workers = min(len(chunks), _usable_cpus())
+    if workers == 1:
+        out = [_census_labellings(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(_census_labellings, chunks))
     return np.concatenate([p for p, _ in out]), np.concatenate([rows for _, rows in out])
 
 
-def _pair_keys(suffixes: np.ndarray, suffix_class: np.ndarray, upset: np.ndarray, keyer) -> np.ndarray:
+def _pair_keys(suffixes: np.ndarray, suffix_class: np.ndarray, upset: np.ndarray) -> np.ndarray:
     """The key rows of each (suffix class, up-set) pair.  Its order on n
     elements is the suffix's canonically labelled order with elements 1..
     renamed 2.., plus a new element 1 above theta alone; bit j of the up-set
@@ -364,7 +377,7 @@ def _pair_keys(suffixes: np.ndarray, suffix_class: np.ndarray, upset: np.ndarray
     up[:, 0] = (1 << n) - 1
     up[:, 1] = 2 | upset << 2
     up[:, 2:] = suffixes[suffix_class, 1:] << 1
-    return keyer(up)[1]
+    return _keyed(up)[1]
 
 
 def _new_tally(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,24 +401,23 @@ def _classes(rows: np.ndarray, counts: np.ndarray, first: np.ndarray) -> tuple[n
     return total, low
 
 
-def _sampled_classes(n: int, bits: np.ndarray, keyer) -> tuple[np.ndarray, np.ndarray]:
+def _sampled_classes(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Census classes of the sampled matrices `bits`: one key per distinct
-    domination order.  keyer(up) is `_keyed` in this process or over a
-    pool."""
+    domination order."""
     up = np.concatenate([
         _domination_up(_family_rows(n, bits[lo : lo + _BATCH])) for lo in range(0, len(bits), _BATCH)
     ])
     distinct, group = _groups(up)
     counts, first = _new_tally(len(distinct))
     _tally(counts, first, group, 1, np.arange(len(bits)))
-    return _classes(keyer(up[distinct])[1], counts, first)
+    return _classes(_keyed(up[distinct])[1], counts, first)
 
 
-def _suffix_classes(up: np.ndarray, keyer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _suffix_classes(up: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label each distinct suffix order canonically: its labelling p and
     class per order (rows in the order of `up`), and the canonically
     labelled up-masks of one order per class."""
-    p, rows = keyer(up)
+    p, rows = _keyed(up)
     first, suffix_class = _groups(rows)
     # bit j of canonical element i says p_i <= p_j
     reps = p[first]
@@ -423,7 +435,7 @@ def _suffix_blocks(m: int):
         yield lo, hi, _family_rows(m, _bits_from_indices(np.arange(lo, hi), free))
 
 
-def _exhaustive_classes(n: int, keyer) -> tuple[np.ndarray, np.ndarray]:
+def _exhaustive_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Census classes of every matrix, with row 1 factored out.
 
     Rows 2..n-1 of a family matrix form a family matrix on m = n-1 elements,
@@ -442,7 +454,7 @@ def _exhaustive_classes(n: int, keyer) -> tuple[np.ndarray, np.ndarray]:
     subsets = np.arange(1 << (m - 1), dtype=np.int64)  # every S
     up = np.concatenate([_domination_up(rows) for _, _, rows in _suffix_blocks(m)])
     distinct, order_ids = _groups(up)
-    labels, suffix_class, suffixes = _suffix_classes(up[distinct], keyer)
+    labels, suffix_class, suffixes = _suffix_classes(up[distinct])
     counts, first = _new_tally(len(suffixes) << (m - 1))
     for lo, hi, rows in _suffix_blocks(m):
         ids = order_ids[lo:hi]
@@ -456,18 +468,11 @@ def _exhaustive_classes(n: int, keyer) -> tuple[np.ndarray, np.ndarray]:
         _tally(counts, first, pair.ravel(), 1, pos.ravel())
 
     present = np.flatnonzero(counts)
-    rows = _pair_keys(suffixes, present >> (m - 1), present & (len(subsets) - 1), keyer)
+    rows = _pair_keys(suffixes, present >> (m - 1), present & (len(subsets) - 1))
     return _classes(rows, counts[present], first[present])
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
-def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1) -> CensusReport:
+def census(n: int, sample_count: int | None = None, seed: int = 0) -> CensusReport:
     """Partition the all-ones-first upper-triangular matrix family on n
     elements into isomorphism classes of the induced algebras.
 
@@ -479,19 +484,16 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
     (`_domination_up`).  Classes are grouped and ordered by one key, the
     lexicographically minimal theta-fixing relabeling of their tables
     (`_census_labellings`, an ordered-partition search on bitmasks, run
-    level by level over a batch of orders), so the report is identical
-    for any worker count.  The
-    exhaustive census keys each distinct order of rows 2..n-1 once and then
-    each distinct (suffix class, up-set of row 1) pair, not each matrix (see
-    `_exhaustive_classes`); a sample is keyed once per distinct order.  This
-    process enumerates and tallies; workers only key chunks of the distinct
-    orders, so each is keyed once for any worker count.  Workers are capped
-    by the usable CPUs and the matrix count.
+    level by level over a batch of orders).  The exhaustive census keys
+    each distinct order of rows 2..n-1 once and then each distinct (suffix
+    class, up-set of row 1) pair, not each matrix (see
+    `_exhaustive_classes`); a sample is keyed once per distinct order.  Only
+    the keying runs on threads, over chunks of the distinct orders (see
+    `_keyed`), so each is keyed once and the report is identical for any
+    thread count.
     """
     if n < 2:
         raise UsageError("census needs n >= 2")
-    if jobs < 1:
-        raise UsageError("jobs must be positive")
     free = (n - 1) * (n - 2) // 2
     total = 1 << free
     if sample_count is None:
@@ -501,8 +503,8 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
                 f"({total} matrices at n={n}); use sampling instead"
             )
         evaluated, mode = total, "exhaustive"
-        search = functools.partial(_exhaustive_classes, n)
-        bits_at = functools.partial(_bits_from_indices, width=free)  # free bits by matrix index
+        sizes, positions = _exhaustive_classes(n)
+        bits = _bits_from_indices(positions, free)  # free bits by matrix index
     else:
         if n > CENSUS_SAMPLE_MAX_N:
             raise UsageError(f"census is limited to n <= {CENSUS_SAMPLE_MAX_N}")
@@ -512,17 +514,10 @@ def census(n: int, sample_count: int | None = None, seed: int = 0, jobs: int = 1
             raise UsageError("seed must be non-negative")
         sample_bits = _sample_bits(seed, sample_count, free)
         evaluated, mode = sample_count, "sample"
-        search = functools.partial(_sampled_classes, n, sample_bits)
-        bits_at = sample_bits.__getitem__  # free bits by sample position
+        sizes, positions = _sampled_classes(n, sample_bits)
+        bits = sample_bits[positions]  # free bits by sample position
 
-    workers = min(jobs, _usable_cpus(), evaluated)
-    if workers == 1:
-        sizes, positions = search(functools.partial(_keyed, map, 1))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sizes, positions = search(functools.partial(_keyed, pool.map, workers))
-
-    strings = row_strings(_bits_from_indices(_family_rows(n, bits_at(positions)).ravel(), n))
+    strings = row_strings(_bits_from_indices(_family_rows(n, bits).ravel(), n))
     return CensusReport(
         n=n,
         free_bits=free,

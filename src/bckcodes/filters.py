@@ -38,7 +38,7 @@ from .algebra import _order_induced, dualize, require_axioms
 from .errors import UsageError
 from .model import DOT, STAR, ClassificationReport, OpTable
 
-# enumeration and the antichain count are exponential; warn past this size
+# the breadth-first enumeration is exponential; warn past this size
 ENUMERATION_WARN_SIZE = 16
 # memoised sets after which the antichain count gives up with a UsageError
 # (5-7 s of work on a shared 2-vCPU VM)
@@ -289,7 +289,6 @@ def classify(h: OpTable) -> ClassificationReport:
     if _require_hilbert(h):
         maximal = _order_maximal(h)
         zero = h.table == 0
-        _warn_if_slow(h.n)
         count = _antichain_count(_row_masks(zero | zero.T), (1 << h.n) - 2)
     else:
         masks, maximal = _enumerate_masks(h.n, _growth(h, False))

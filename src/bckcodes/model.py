@@ -1,7 +1,7 @@
 """Domain types: operation tables, posets, block codes, reports.
 
 All values are immutable after construction and validate their own
-invariants, so they can be shared freely across workers.
+invariants, so they can be shared freely.
 """
 from __future__ import annotations
 

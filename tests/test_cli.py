@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bckcodes import cli
+from bckcodes import cli, codegen
 from bckcodes.cli import run_command
 
 from conftest import FIXTURES
@@ -143,11 +143,12 @@ class TestClassifyAndFilters:
         code_path.write_text(out, encoding="utf-8")
         assert run(capsys, "build", "--mode", "direct", "--out", str(alg), str(code_path))[0] == 0
         warning = "warning: enumerating filters of a 17-element algebra may be slow\n"
-        # the maximal filters of an order-induced table take O(n^2): no warning
+        # the maximal filters of an order-induced table take O(n^2), and its
+        # filter count stops at ANTICHAIN_STATE_BUDGET: no warning
         expected = {
             ("filters", "--all"): ("filters: 17", warning),
             ("filters", "--maximal"): ("maximal filters: 1", ""),
-            ("classify",): ("n: 17", warning),
+            ("classify",): ("n: 17", ""),
         }
         for argv, (first, stderr) in expected.items():
             rc, out, err = run(capsys, *argv, str(alg))
@@ -240,10 +241,15 @@ class TestCensusCli:
         assert code == 0
         assert "8 matrices, 5 classes, bound 8, bound met: no" in out
 
-    def test_census_jobs_byte_identical(self, capsys):
-        _, out1, _ = run(capsys, "census", "--n", "5", "--jobs", "1")
-        _, out8, _ = run(capsys, "census", "--n", "5", "--jobs", "8")
-        assert out1 == out8
+    def test_census_jobs_byte_identical(self, capsys, monkeypatch):
+        """The keying threads follow the usable CPUs; the report does not.
+        n = 8 keys two chunks per call, so three CPUs start threads."""
+        outs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(codegen, "_usable_cpus", lambda: cpus)
+            outs.append(run(capsys, "census", "--n", "8"))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
 
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--n", "3", "--json")
@@ -293,17 +299,20 @@ class TestCensusAnchors:
     def test_anchor(self, capsys, argv):
         assert self.census_sha(capsys, *argv) == CENSUS_ANCHORS[argv]
 
+    # the keying threads are sized from the usable CPUs, here 1 and 3
     @pytest.mark.parametrize("n", ["5", "6", "7"])
-    @pytest.mark.parametrize("jobs", ["1", "3"])
-    def test_anchor_any_jobs(self, capsys, n, jobs):
-        assert self.census_sha(capsys, "--n", n, "--jobs", jobs) == CENSUS_ANCHORS[("--n", n)]
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_anchor_any_jobs(self, capsys, monkeypatch, n, cpus):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: cpus)
+        assert self.census_sha(capsys, "--n", n) == CENSUS_ANCHORS[("--n", n)]
 
     @pytest.mark.parametrize(
         "argv", [a for a in CENSUS_ANCHORS if a[1:] not in (("5",), ("6",), ("7",))], ids=" ".join
     )
-    @pytest.mark.parametrize("jobs", ["1", "3"])
-    def test_other_anchors_any_jobs(self, capsys, argv, jobs):
-        assert self.census_sha(capsys, *argv, "--jobs", jobs) == CENSUS_ANCHORS[argv]
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_other_anchors_any_jobs(self, capsys, monkeypatch, argv, cpus):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: cpus)
+        assert self.census_sha(capsys, *argv) == CENSUS_ANCHORS[argv]
 
 
 class TestHasse:
@@ -512,13 +521,16 @@ print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 
 
 class TestModuleGuard:
-    """No command loads numpy.random or numpy.ma.  Measured against what
-    `import numpy` alone loads, which includes both before numpy 2."""
+    """No command loads numpy.random, numpy.ma or a process pool.  Measured
+    against what `import numpy` alone loads, which includes numpy.random
+    and numpy.ma before numpy 2."""
 
-    def test_commands_load_neither_numpy_random_nor_numpy_ma(self):
+    @pytest.fixture(scope="class")
+    def loaded(self):
         argvs = [
             ["census", "--n", "9", "--sample", "10", "--seed", "1", "--json"],
             ["census", "--n", "6", "--json"],
+            ["census", "--n", "12", "--sample", "5000", "--seed", "2", "--json"],  # two chunks
             ["build", "--mode", "embed", fx("embed9.code")],
             ["classify", fx("local5_dot.alg")],
             ["iso", fx("local5_star.alg"), fx("local5_star.alg")],
@@ -537,7 +549,14 @@ class TestModuleGuard:
         assert out.returncode == 0, out.stderr
         codes, loaded = json.loads(out.stdout)
         assert codes == [0] * len(argvs)
+        return loaded
+
+    def test_commands_load_neither_numpy_random_nor_numpy_ma(self, loaded):
         assert [m for m in loaded if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])] == []
+
+    def test_commands_load_no_process_pool(self, loaded):
+        pools = ("multiprocessing", "concurrent.futures.process")
+        assert [m for m in loaded if m.startswith(pools)] == []
 
 
 def pinned(payload) -> str:

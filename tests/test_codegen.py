@@ -241,15 +241,16 @@ class TestCensus:
         for a, b in itertools.combinations(algebras, 2):
             assert are_isomorphic(a, b) is None
 
-    def test_worker_counts_agree(self):
-        lone = census(5, jobs=1)
-        pooled = census(5, jobs=8)
-        assert lone == pooled
+    def test_worker_counts_agree(self, monkeypatch):
+        lone = census(5)
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 8)
+        assert census(5) == lone
 
-    def test_n6_workers_and_oracle(self):
+    def test_n6_workers_and_oracle(self, monkeypatch):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 1)
         lone = census(6)
-        pooled = census(6, jobs=4)
-        assert lone == pooled
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
+        assert census(6) == lone
         assert sum(lone.class_sizes) == 1024
 
     def test_n7_exhaustive_within_budget(self):
@@ -282,8 +283,9 @@ class TestCensus:
         assert report.class_count == 2045
         assert sum(report.class_sizes) == report.total_matrices == 2**21
 
-    def test_n8_workers_agree(self):
-        assert census(8, jobs=2) == _exhaustive_census(8)
+    def test_n8_workers_agree(self, monkeypatch):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 2)
+        assert census(8) == _exhaustive_census(8)
 
     def test_sample_limit(self):
         with pytest.raises(UsageError):
@@ -291,16 +293,6 @@ class TestCensus:
         report = census(16, sample_count=20, seed=3)
         assert report.evaluated == sum(report.class_sizes) == 20
         assert report.free_bits == 15 * 14 // 2
-
-    def test_jobs_checked_before_the_sample_is_drawn(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("sample drawn before jobs was checked")
-
-        monkeypatch.setattr(codegen, "_sample_bits", refuse)
-        with pytest.raises(UsageError, match="jobs must be positive"):
-            census(16, sample_count=150000, jobs=0)
-        with pytest.raises(UsageError, match="jobs must be positive"):
-            census(4, jobs=0)
 
     def test_n2_degenerate_family(self):
         report = census(2)
@@ -611,8 +603,8 @@ class TestCensusKeys:
         seen = []
         pair_keys = codegen._pair_keys
 
-        def recording(suffixes, suffix_class, upset, keyer):
-            rows = pair_keys(suffixes, suffix_class, upset, keyer)
+        def recording(suffixes, suffix_class, upset):
+            rows = pair_keys(suffixes, suffix_class, upset)
             seen.extend(zip(suffixes[suffix_class].tolist(), upset.tolist(), rows))
             return rows
 
@@ -711,10 +703,14 @@ class TestSampleBits:
 
 
 class TestCensusJobs:
+    """The keying threads: `_keyed` splits the distinct orders into equal
+    chunks of at most _BATCH and starts min(chunks, usable CPUs) threads
+    when both exceed 1; the report is the same for any count."""
+
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Replace ProcessPoolExecutor by a stand-in that records the worker
-        count asked for and maps in this process: no process is started."""
+        """Replace ThreadPoolExecutor by a stand-in that records the worker
+        count asked for and maps in this thread."""
         started = []
 
         class SerialPool:
@@ -730,43 +726,65 @@ class TestCensusJobs:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(codegen, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(codegen, "ThreadPoolExecutor", SerialPool)
         return started
 
-    def test_jobs_clamped_to_usable_cpus_and_matrices(self, pools, monkeypatch):
-        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 3)
-        lone = census(5)
+    def test_threads_clamped_to_usable_cpus_and_chunks(self, pools, monkeypatch):
+        # 8,193 orders make three chunks of 2,731
+        bits = codegen._bits_from_indices(np.arange(2 * codegen._BATCH + 1), 21)
+        up = codegen._domination_up(codegen._family_rows(8, bits))
+        sizes = []
+        labellings = codegen._census_labellings
+
+        def counting(chunk):
+            sizes.append(len(chunk))
+            return labellings(chunk)
+
+        monkeypatch.setattr(codegen, "_census_labellings", counting)
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 1)
+        lone = codegen._keyed(up)
         assert pools == []
-        assert census(5, jobs=8) == lone
-        assert census(5, jobs=2) == lone
-        assert census(3, jobs=8) == census(3)  # 2 matrices, 2 workers
-        assert pools == [3, 2, 2]
+        for cpus in (2, 3, 4):
+            monkeypatch.setattr(codegen, "_usable_cpus", lambda: cpus)
+            keyed = codegen._keyed(up)
+            assert all(np.array_equal(a, b) for a, b in zip(keyed, lone))
+        assert pools == [2, 3, 3]
+        assert sizes == [2731] * 12
 
     def test_one_usable_worker_runs_inline(self, pools, monkeypatch):
+        """Two chunks on one usable CPU run in this thread, and so does the
+        one chunk of a small census on any CPU count."""
         monkeypatch.setattr(codegen, "_usable_cpus", lambda: 1)
-        assert census(5, jobs=8) == census(5)
-        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
-        assert census(6, sample_count=1, seed=3, jobs=8) == census(6, sample_count=1, seed=3)
+        census(12, sample_count=5000, seed=2)
+        assert pools == []
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 3)
+        census(5)
+        census(7)
+        census(9, sample_count=10, seed=1)
         assert pools == []
 
     def test_sampled_split_matches_inline(self, pools, monkeypatch):
+        # 5,000 distinct orders: two chunks of 2,500
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 1)
+        lone = census(12, sample_count=5000, seed=2)
+        assert pools == []
         monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
-        assert census(8, sample_count=40, seed=7, jobs=4) == census(8, sample_count=40, seed=7)
-        assert pools == [4]
+        assert census(12, sample_count=5000, seed=2) == lone
+        assert pools == [2]
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_sample_across_batches_equals_per_sample_oracle(self, pools, monkeypatch, jobs):
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_sample_across_batches_equals_per_sample_oracle(self, pools, monkeypatch, cpus):
         # 5,000 samples take two batches of order ids, which share one dedup
-        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: cpus)
         assert codegen._BATCH < 5000
         bits = np.random.default_rng(11).integers(0, 2, size=(5000, 15), dtype=np.uint8)
         indices = (bits @ np.left_shift(1, np.arange(14, -1, -1))).tolist()
-        assert census(7, sample_count=5000, seed=11, jobs=jobs) == _keyed_report(7, indices, "sample")
-        assert pools == ([] if jobs == 1 else [3])
+        assert census(7, sample_count=5000, seed=11) == _keyed_report(7, indices, "sample")
+        assert pools == []  # at most 4,824 distinct orders at n = 7: one chunk
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_each_distinct_order_keyed_once_for_any_jobs(self, pools, monkeypatch, jobs):
-        monkeypatch.setattr(codegen, "_usable_cpus", lambda: 4)
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_distinct_order_keyed_once_for_any_jobs(self, pools, monkeypatch, cpus):
+        monkeypatch.setattr(codegen, "_usable_cpus", lambda: cpus)
         sizes = collections.Counter()
         labellings = codegen._census_labellings
 
@@ -775,10 +793,10 @@ class TestCensusJobs:
             return labellings(up)
 
         monkeypatch.setattr(codegen, "_census_labellings", counting)
-        census(8, jobs=jobs)
+        assert census(8) == _exhaustive_census(8)
         # 4,824 distinct suffix orders, then 5,439 (suffix class, up-set) pairs
         assert sizes == {7: 4824, 8: 5439}
-        assert pools == ([] if jobs == 1 else [jobs])
+        assert pools == ([] if cpus == 1 else [2, 2])
 
     def test_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
