@@ -150,13 +150,15 @@ def are_isomorphic(t1: OpTable, t2: OpTable) -> tuple[int, ...] | None:
     """The lexicographically first theta-fixing isomorphism (entry x is the
     image of element x), or None when there is none.
 
-    While a color of the joint refinement is not one element per table, its
-    first element x is placed at each y of that color in the second table,
-    in index order: x and y get a fresh color and both tables are refined
-    again, dropping colorings whose multisets differ.  Refinement never
-    prunes an isomorphism and forced elements come first, so the first
-    discrete coloring that carries every cell is the answer (McKay &
-    Piperno, Practical graph isomorphism II, 2014).
+    At each joint refinement whose color multisets agree, the first
+    color-keeping bijection (each color's elements matched in index order)
+    is returned if it carries every cell.  Else the first element x of a
+    color that is not one element per table is placed at each y of that
+    color in the second table, in index order: x and y get a fresh color and
+    both tables are refined again.  Refinement never prunes an isomorphism
+    and placements run in lexicographic order, so the first bijection that
+    carries every cell is the answer (McKay & Piperno, Practical graph
+    isomorphism II, 2014).
     """
     if t1.kind != t2.kind:
         raise UsageError("cannot compare tables of different kinds")
@@ -169,14 +171,14 @@ def are_isomorphic(t1: OpTable, t2: OpTable) -> tuple[int, ...] | None:
     c = np.array(refine_colors(a, b))
     while True:
         if np.array_equal(np.sort(c[:n]), np.sort(c[n:])):
+            m = np.empty_like(c[:n])
+            m[np.argsort(c[:n], kind="stable")] = np.argsort(c[n:], kind="stable")
+            if np.array_equal(m[a], b[m[:, None], m[None, :]]):
+                return tuple(m.tolist())
             size = np.bincount(c[:n])[c[:n]]
             if size.max() > 1:
                 x = int(np.argmax(size > 1))
                 levels.append((c, x, iter(np.flatnonzero(c[n:] == c[x]).tolist())))
-            else:
-                m = np.argsort(c[n:])[c[:n]]
-                if np.array_equal(m[a], b[m[:, None], m[None, :]]):
-                    return tuple(m.tolist())
         while levels and (y := next(levels[-1][2], None)) is None:
             levels.pop()
         if not levels:

@@ -25,12 +25,13 @@ down-set.
     one is.
   * A down-set holding 0 is fixed by its maximal elements in P - {0}, so
     the filters are counted by the antichains of P - {0}.
-Every other table runs the breadth-first growth on its rows.
+Every other table runs the breadth-first growth on its rows.  Listing and
+counting are exponential, so past FILTER_STATE_BUDGET filters listed or sets
+memoised both raise a UsageError that names the carrier size.
 """
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -38,11 +39,8 @@ from .algebra import _order_induced, dualize, require_axioms
 from .errors import UsageError
 from .model import DOT, STAR, ClassificationReport, OpTable
 
-# the breadth-first enumeration is exponential; warn past this size
-ENUMERATION_WARN_SIZE = 16
-# memoised sets after which the antichain count gives up with a UsageError
-# (5-7 s of work on a shared 2-vCPU VM)
-ANTICHAIN_STATE_BUDGET = 1 << 18
+# filters listed or antichain sets memoised (5-7 s of counting on a shared 2-vCPU VM)
+FILTER_STATE_BUDGET = 1 << 18
 
 
 def _require_hilbert(h: OpTable) -> bool:
@@ -57,11 +55,10 @@ def _require_hilbert(h: OpTable) -> bool:
     return False
 
 
-def _warn_if_slow(n: int) -> None:
-    """The warning on stderr before exponential work on more than
-    ENUMERATION_WARN_SIZE elements."""
-    if n > ENUMERATION_WARN_SIZE:
-        print(f"warning: enumerating filters of a {n}-element algebra may be slow", file=sys.stderr)
+def _over_budget(work: str, n: int, result: str) -> UsageError:
+    """The error once `work` on an n-element algebra passes the budget."""
+    states = f"{work} the filters of a {n}-element algebra needs more than {FILTER_STATE_BUDGET} states"
+    return UsageError(f"{states}; the {result} is not available at this size")
 
 
 def _pytable(h: OpTable) -> tuple[tuple[int, ...], ...]:
@@ -152,9 +149,9 @@ def _enumerate_masks(n: int, grow) -> tuple[list[int], list[int]]:
     proper filter by each element outside it.  Every filter is reached,
     since it is the growth of a smaller filter inside it by one of its
     elements; a proper filter is maximal exactly when every such growth is
-    the carrier.  `grow` is the `_growth` of the n-element table.
+    the carrier.  `grow` is the `_growth` of the n-element table.  Past
+    FILTER_STATE_BUDGET filters it raises a UsageError.
     """
-    _warn_if_slow(n)
     carrier = (1 << n) - 1
     found = {1}
     maximal = []
@@ -174,6 +171,8 @@ def _enumerate_masks(n: int, grow) -> tuple[list[int], list[int]]:
                     if grown not in found:
                         found.add(grown)
                         nxt.append(grown)
+                        if len(found) > FILTER_STATE_BUDGET:
+                            raise _over_budget("listing", n, "list")
             if is_maximal:
                 maximal.append(mask)
         frontier = nxt
@@ -230,7 +229,7 @@ def _antichain_count(comparable: list[int], s: int) -> int:
     holds v and every element comparable to it.  Components multiply; each
     connected set is split by `_branches`, memoised, and evaluated from an
     explicit stack, so depth does not grow with the order.  Past
-    ANTICHAIN_STATE_BUDGET memoised sets it raises a UsageError."""
+    FILTER_STATE_BUDGET memoised sets it raises a UsageError."""
     memo: dict[int, int] = {}
     plans: dict[int, tuple[list[list[int]], int]] = {}
     roots = _components(comparable, s)
@@ -249,11 +248,8 @@ def _antichain_count(comparable: list[int], s: int) -> int:
         branches, extra = plans.pop(c)
         memo[c] = extra + sum(math.prod(memo[d] for d in branch) for branch in branches)
         stack.pop()
-        if len(memo) > ANTICHAIN_STATE_BUDGET:
-            raise UsageError(
-                f"counting the filters of a {len(comparable)}-element algebra needs more than "
-                f"{ANTICHAIN_STATE_BUDGET} states; the count is not available at this size"
-            )
+        if len(memo) > FILTER_STATE_BUDGET:
+            raise _over_budget("counting", len(comparable), "count")
     return math.prod(memo[c] for c in roots)
 
 

@@ -493,6 +493,15 @@ class TestIsoOnSymmetricCodes:
         assert self.timed(petersen, prism) is None
         assert self.timed(prism, self.relabelled(prism, 5)) is not None
 
+    def test_semisimple_301_against_itself_and_relabelling(self):
+        """Every nonzero element of the direct semisimple algebra looks alike,
+        so refinement leaves one class of 300; the first colour-keeping
+        bijection is an isomorphism before any placement."""
+        semi = direct_algebra(semisimple_family(301)).algebra
+        assert semi.n == 301
+        assert self.timed(semi, semi) == tuple(range(301))
+        assert self.timed(semi, self.relabelled(semi, 301)) == tuple(range(301))
+
 
 class TestRelabelInvariance:
     def test_verify_axioms_invariant_under_relabeling(self):

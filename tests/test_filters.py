@@ -181,27 +181,51 @@ class TestMaximalFilters:
         assert maximal_filters(dot_table([[0]])) == []
 
 
-class TestEnumerationWarning:
-    def test_large_carrier_warns_on_stderr(self, capsys):
-        """The breadth-first enumeration warns once.  On an order-induced
-        table the maximal filters are read off the order and the count is
-        bounded by ANTICHAIN_STATE_BUDGET, so neither warns.  The Heyting
-        algebra of the 32 down-sets of a 5-point antichain is induced by no
-        poset, so all three enumerate."""
+class TestListingBudget:
+    """The breadth-first listing gives up with a UsageError past
+    FILTER_STATE_BUDGET filters, and a listing that fits is the one it
+    always gave.  The Heyting algebra of the 32 down-sets of a 5-point
+    antichain is induced by no poset, so all three computations list."""
+
+    def test_listing_past_budget_names_the_carrier(self, monkeypatch):
         x, y = np.indices((17, 17))
         chain = dot_table(np.where(y <= x, 0, y))  # the dual of the 17-chain's star table
-        # the filters of a chain are its prefixes
-        assert len(all_filters(chain)) == 17
-        assert "may be slow" in capsys.readouterr().err
         table, theta = heyting_downsets(np.eye(5, dtype=bool))
         rows = "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
         heyting = parse_algebra_file(f"kind dot\nn 32\ntheta {theta}\n{rows}")
         assert F._require_hilbert(chain) and not F._require_hilbert(heyting)
-        for h, silent in ((chain, {maximal_filters, classify}), (heyting, set())):
-            for compute in (all_filters, maximal_filters, classify):
-                compute(h)
-                warning = f"warning: enumerating filters of a {h.n}-element algebra may be slow\n"
-                assert capsys.readouterr().err == ("" if compute in silent else warning), compute
+        monkeypatch.setattr(F, "FILTER_STATE_BUDGET", 16)
+        # the filters of a chain are its prefixes
+        assert all_filters(chain) == [frozenset(range(k)) for k in range(1, 18)]
+        message = (
+            "listing the filters of a 32-element algebra needs more than 16 states; "
+            "the list is not available at this size"
+        )
+        for compute in (all_filters, maximal_filters, classify):
+            with pytest.raises(UsageError) as raised:
+                compute(heyting)
+            assert str(raised.value) == message, compute
+
+    def test_semisimple16_lists_at_the_budget(self, monkeypatch):
+        dual = dualize(direct_algebra(semisimple_family(16)).algebra)
+        assert len(all_filters(dual)) == 32768
+        monkeypatch.setattr(F, "FILTER_STATE_BUDGET", 32768)  # as 2^18 at n = 19
+        assert len(all_filters(dual)) == 32768
+        monkeypatch.setattr(F, "FILTER_STATE_BUDGET", 16384)
+        with pytest.raises(UsageError, match="filters of a 16-element algebra"):
+            all_filters(dual)
+
+    def test_cli_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c30.alg"
+        path.write_text(serialize_algebra(_embedded_random(30)), encoding="utf-8")
+        monkeypatch.setattr(F, "FILTER_STATE_BUDGET", 1000)
+        assert run_command(["filters", "--all", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: listing the filters of a 61-element algebra needs more than 1000 states; "
+            "the list is not available at this size"
+        ]
 
 
 class TestClassify:
@@ -439,24 +463,24 @@ def _embedded_random(k: int) -> OpTable:
 
 
 class TestAntichainBudget:
-    """The count gives up with a UsageError past ANTICHAIN_STATE_BUDGET
+    """The count gives up with a UsageError past FILTER_STATE_BUDGET
     memoised sets, and a count that fits is the one it always gave."""
 
     def test_embedded_40x40_count_fits(self, monkeypatch):
         star = _embedded_random(40)
         assert classify(star).all_filter_count == 2749618505164
-        monkeypatch.setattr(F, "ANTICHAIN_STATE_BUDGET", 1000)
+        monkeypatch.setattr(F, "FILTER_STATE_BUDGET", 1000)
         with pytest.raises(UsageError, match="filters of a 81-element algebra needs more than 1000 states"):
             classify(star)
 
     def test_cli_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "c30.alg"
         path.write_text(serialize_algebra(_embedded_random(30)), encoding="utf-8")
-        monkeypatch.setattr(F, "ANTICHAIN_STATE_BUDGET", 1000)
+        monkeypatch.setattr(F, "FILTER_STATE_BUDGET", 1000)
         assert run_command(["classify", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert [line for line in captured.err.splitlines() if not line.startswith("warning:")] == [
+        assert captured.err.splitlines() == [
             "error: counting the filters of a 61-element algebra needs more than 1000 states; "
             "the count is not available at this size"
         ]
@@ -520,4 +544,4 @@ class TestMaximalFiltersAtCodeScale:
             (frozenset(range(n)) - {m} for m in tops), key=lambda s: (len(s), sum(1 << i for i in s))
         )
         assert maximal_filters(dualize(star)) == want
-        assert capsys.readouterr().err == ""  # O(n^2) on an induced table: no warning
+        assert capsys.readouterr().err == ""  # O(n^2) on an induced table
