@@ -6,6 +6,10 @@ no traceback), 141 (128 + SIGPIPE) when stdout is closed before the report
 is written.  A file argument of `-` reads the `.code` or `.alg` text from
 stdin.  All reports are deterministic: elements appear in
 canonical index order and filters are sorted by cardinality then bitmask.
+
+A report is written once, by `run_command`, after its command has finished,
+so on exit 2 or 3 stdout is empty; every `--json` report is one object whose
+first key is `command`.
 """
 from __future__ import annotations
 
@@ -61,35 +65,30 @@ def _witness_str(witness, t: OpTable) -> str:
     return ", ".join(f"{names[k]}={t.label(v)}" for k, v in enumerate(witness))
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, ensure_ascii=False, indent=2))
-
-
 def _filter_json(members, t: OpTable) -> dict:
     idx = sorted(members)
     return {"members": idx, "labels": [t.label(i) for i in idx]}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, report), where the report is the
+# `--json` object without its command key, or else the lines of text
 # ---------------------------------------------------------------------------
 
-def _cmd_build(args) -> int:
+def _cmd_build(args):
     code = parse_code_file(_read_text(args.codefile))
     emb = embed_code(code) if args.mode == "embed" else direct_algebra(code)
-    tail = None
-    if args.mode == "embed":
-        tail = tail_set_check(emb)
+    t = emb.algebra
+    tail = tail_set_check(emb) if args.mode == "embed" else None
     if args.json:
-        payload = {
-            "command": "build",
+        return 0, {
             "mode": args.mode,
-            "n": emb.algebra.n,
-            "kind": emb.algebra.kind,
+            "n": t.n,
+            "kind": t.kind,
             "theta": 0,
-            "labels": list(emb.algebra.labels),
-            "table": emb.algebra.table.tolist(),
-            "dual_table": dualize(emb.algebra).table.tolist(),
+            "labels": list(t.labels),
+            "table": t.table.tolist(),
+            "dual_table": dualize(t).table.tolist(),
             "origins": list(emb.origins),
             "code_row_elements": list(emb.code_row_elements),
             "tail_elements": list(emb.tail_elements),
@@ -102,16 +101,10 @@ def _cmd_build(args) -> int:
                 "witness": list(tail[2]) if tail[2] is not None else None,
             },
         }
-        _emit_json(payload)
-        return 0
-    text = serialize_algebra(emb.algebra)
-    lines = [text.rstrip("\n")]
-    origin_pairs = " ".join(
-        f"{emb.algebra.label(i)}={tag}" for i, tag in enumerate(emb.origins)
-    )
+    lines = serialize_algebra(t).splitlines()
+    origin_pairs = " ".join(f"{t.label(i)}={tag}" for i, tag in enumerate(emb.origins))
     lines.append(f"# origins: {origin_pairs}")
     if tail is not None:
-        t = emb.algebra
         members, ok, witness = tail
         lines.append(f"# tail elements: {' '.join(t.label(i) for i in emb.tail_elements)}")
         if ok:
@@ -121,71 +114,55 @@ def _cmd_build(args) -> int:
                 f"# tail set {_set_str(members, t)}: NOT a filter in the dual algebra "
                 f"(witness {_witness_str(witness, t)})"
             )
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return 0, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     t = _load_algebra(args.algfile)
     violations = verify_axioms(t, args.kind)
+    code = 1 if violations else 0
     if args.json:
-        _emit_json(
-            {
-                "command": "verify",
-                "kind": args.kind,
-                "n": t.n,
-                "passed": not violations,
-                "violations": [
-                    {"axiom": axiom, "witness": list(witness)}
-                    for axiom, witness in violations
-                ],
-            }
-        )
-    else:
-        print(f"kind: {args.kind}")
-        print(f"n: {t.n}")
-        print(f"passed: {'no' if violations else 'yes'}")
-        for axiom, witness in violations:
-            print(f"axiom {axiom} violated at ({_witness_str(witness, t)})")
-    return 1 if violations else 0
+        return code, {
+            "kind": args.kind,
+            "n": t.n,
+            "passed": not violations,
+            "violations": [
+                {"axiom": axiom, "witness": list(witness)}
+                for axiom, witness in violations
+            ],
+        }
+    lines = [f"kind: {args.kind}", f"n: {t.n}", f"passed: {'no' if violations else 'yes'}"]
+    for axiom, witness in violations:
+        lines.append(f"axiom {axiom} violated at ({_witness_str(witness, t)})")
+    return code, lines
 
 
-def _cmd_props(args) -> int:
+def _cmd_props(args):
     t = _load_algebra(args.algfile)
-    payload = {"command": "props", "n": t.n}
+    payload = {"n": t.n}
     lines = [f"n: {t.n}"]
     for name, witness in bck_properties(t).items():
         holds = witness is None
         payload[name] = {"holds": holds, "witness": None if holds else list(witness)}
         verdict = "yes" if holds else f"no (witness {_witness_str(witness, t)})"
         lines.append(f"{name.replace('_', ' ')}: {verdict}")
+    return 0, payload if args.json else lines
+
+
+def _cmd_dual(args):
+    d = dualize(_load_algebra(args.algfile))
     if args.json:
-        _emit_json(payload)
-    else:
-        print("\n".join(lines))
-    return 0
+        return 0, {
+            "kind": d.kind,
+            "n": d.n,
+            "theta": 0,
+            "labels": list(d.labels) if d.labels else None,
+            "table": d.table.tolist(),
+        }
+    return 0, serialize_algebra(d).splitlines()
 
 
-def _cmd_dual(args) -> int:
-    t = _load_algebra(args.algfile)
-    d = dualize(t)
-    if args.json:
-        _emit_json(
-            {
-                "command": "dual",
-                "kind": d.kind,
-                "n": d.n,
-                "theta": 0,
-                "labels": list(d.labels) if d.labels else None,
-                "table": d.table.tolist(),
-            }
-        )
-        return 0
-    _write_text(args.out, serialize_algebra(d))
-    return 0
-
-
-def _cmd_filters(args) -> int:
+def _cmd_filters(args):
     t = _load_algebra(args.algfile)
     h = dualize(t) if t.kind == STAR else t
     if args.maximal:
@@ -195,53 +172,38 @@ def _cmd_filters(args) -> int:
         found = all_filters(h)
         title = "filters"
     if args.json:
-        _emit_json(
-            {
-                "command": "filters",
-                "n": h.n,
-                "selection": "maximal" if args.maximal else "all",
-                "count": len(found),
-                "filters": [_filter_json(f, h) for f in found],
-            }
-        )
-        return 0
-    print(f"{title}: {len(found)}")
-    for f in found:
-        print(_set_str(f, h))
-    return 0
+        return 0, {
+            "n": h.n,
+            "selection": "maximal" if args.maximal else "all",
+            "count": len(found),
+            "filters": [_filter_json(f, h) for f in found],
+        }
+    return 0, [f"{title}: {len(found)}", *(_set_str(f, h) for f in found)]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     t = _load_algebra(args.algfile)
     report = classify(t)
     if args.json:
-        _emit_json(
-            {
-                "command": "classify",
-                "n": t.n,
-                "degenerate": report.degenerate,
-                "filter_count": report.all_filter_count,
-                "maximal_filters": [_filter_json(f, t) for f in report.maximal_filters],
-                "radical": _filter_json(report.radical, t),
-                "local": None if report.degenerate else report.is_local,
-                "semisimple": None if report.degenerate else report.is_semisimple,
-            }
-        )
-        return 0
-    print(f"n: {t.n}")
-    print(f"filters: {report.all_filter_count}")
+        return 0, {
+            "n": t.n,
+            "degenerate": report.degenerate,
+            "filter_count": report.all_filter_count,
+            "maximal_filters": [_filter_json(f, t) for f in report.maximal_filters],
+            "radical": _filter_json(report.radical, t),
+            "local": None if report.degenerate else report.is_local,
+            "semisimple": None if report.degenerate else report.is_semisimple,
+        }
+    lines = [f"n: {t.n}", f"filters: {report.all_filter_count}"]
     if report.degenerate:
-        print("degenerate: single-element algebra, no proper filters")
-        print("local: n/a")
-        print("semisimple: n/a")
-        return 0
-    print(f"maximal filters: {len(report.maximal_filters)}")
-    for f in report.maximal_filters:
-        print(f"  {_set_str(f, t)}")
-    print(f"radical: {_set_str(report.radical, t)}")
-    print(f"local: {'yes' if report.is_local else 'no'}")
-    print(f"semisimple: {'yes' if report.is_semisimple else 'no'}")
-    return 0
+        lines += ["degenerate: single-element algebra, no proper filters", "local: n/a", "semisimple: n/a"]
+        return 0, lines
+    lines.append(f"maximal filters: {len(report.maximal_filters)}")
+    lines += [f"  {_set_str(f, t)}" for f in report.maximal_filters]
+    lines.append(f"radical: {_set_str(report.radical, t)}")
+    lines.append(f"local: {'yes' if report.is_local else 'no'}")
+    lines.append(f"semisimple: {'yes' if report.is_semisimple else 'no'}")
+    return 0, lines
 
 
 def _parse_indices(text: str, what: str) -> tuple[int, ...]:
@@ -251,55 +213,43 @@ def _parse_indices(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"--{what} expects comma-separated element indices, got {text!r}") from None
 
 
-def _cmd_cut(args) -> int:
+def _cmd_cut(args):
     t = _load_algebra(args.algfile)
     rows = _parse_indices(args.rows, "rows")
     cols = _parse_indices(args.cols, "cols")
     result = cut_code(t, rows, cols)
     if args.json:
-        _emit_json(
-            {
-                "command": "cut",
-                "rows": list(rows),
-                "cols": list(cols),
-                "words": list(result.words),
-                "collisions": [list(c) for c in result.collisions],
-                "code": list(result.code.strings()),
-            }
-        )
-        return 0
-    for w in result.words:
-        print(w)
-    for kept, dropped in result.collisions:
-        print(f"# collision: row {dropped} repeats row {kept}")
-    return 0
+        return 0, {
+            "rows": list(rows),
+            "cols": list(cols),
+            "words": list(result.words),
+            "collisions": [list(c) for c in result.collisions],
+            "code": list(result.code.strings()),
+        }
+    collisions = [f"# collision: row {dropped} repeats row {kept}" for kept, dropped in result.collisions]
+    return 0, [*result.words, *collisions]
 
 
-def _cmd_roundtrip(args) -> int:
-    code = parse_code_file(_read_text(args.codefile))
-    report = roundtrip_check(code)
+def _cmd_roundtrip(args):
+    report = roundtrip_check(parse_code_file(_read_text(args.codefile)))
+    code = 0 if report.ok else 1
     if args.json:
-        _emit_json(
-            {
-                "command": "roundtrip",
-                "ok": report.ok,
-                "expected": list(report.expected.strings()),
-                "recovered": list(report.recovered),
-                "first_mismatch": report.first_mismatch,
-            }
-        )
-    elif report.ok:
-        print(f"roundtrip: ok ({len(report.recovered)} words recovered)")
-    else:
-        i = report.first_mismatch
-        print(
-            f"roundtrip: FAILED at word {i}: got {report.recovered[i]}, "
-            f"expected {report.expected.strings()[i]}"
-        )
-    return 0 if report.ok else 1
+        return code, {
+            "ok": report.ok,
+            "expected": list(report.expected.strings()),
+            "recovered": list(report.recovered),
+            "first_mismatch": report.first_mismatch,
+        }
+    if report.ok:
+        return code, [f"roundtrip: ok ({len(report.recovered)} words recovered)"]
+    i = report.first_mismatch
+    return code, [
+        f"roundtrip: FAILED at word {i}: got {report.recovered[i]}, "
+        f"expected {report.expected.strings()[i]}"
+    ]
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args):
     if args.kind == "semisimple":
         if args.bits is not None:
             raise UsageError("--bits applies to the local family only")
@@ -308,59 +258,46 @@ def _cmd_family(args) -> int:
         bits = args.bits if args.bits is not None else "0" * local_family_free_bit_count(args.n)
         code = local_family(args.n, bits)
     if args.json:
-        _emit_json(
-            {
-                "command": "family",
-                "kind": args.kind,
-                "n": args.n,
-                "bits": args.bits,
-                "words": list(code.strings()),
-            }
-        )
-        return 0
-    sys.stdout.write(serialize_code(code))
-    return 0
+        return 0, {
+            "kind": args.kind,
+            "n": args.n,
+            "bits": args.bits,
+            "words": list(code.strings()),
+        }
+    return 0, serialize_code(code).splitlines()
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     report = census(args.n, sample_count=args.sample, seed=args.seed)
     if args.json:
-        _emit_json(
-            {
-                "command": "census",
-                "n": report.n,
-                "free_bits": report.free_bits,
-                "total_matrices": report.total_matrices,
-                "evaluated": report.evaluated,
-                "mode": report.mode,
-                "seed": args.seed if report.mode == "sample" else None,
-                "class_count": report.class_count,
-                "bound": report.total_matrices,
-                "bound_met": report.bound_met,
-                "classes": [
-                    {"size": size, "representative": list(rep)}
-                    for size, rep in zip(report.class_sizes, report.class_representatives)
-                ],
-            }
-        )
-        return 0
-    print(f"n: {report.n}")
-    print(f"free bits: {report.free_bits}")
+        return 0, {
+            "n": report.n,
+            "free_bits": report.free_bits,
+            "total_matrices": report.total_matrices,
+            "evaluated": report.evaluated,
+            "mode": report.mode,
+            "seed": args.seed if report.mode == "sample" else None,
+            "class_count": report.class_count,
+            "bound": report.total_matrices,
+            "bound_met": report.bound_met,
+            "classes": [
+                {"size": size, "representative": list(rep)}
+                for size, rep in zip(report.class_sizes, report.class_representatives)
+            ],
+        }
     met = "yes" if report.bound_met else "no"
     if report.mode == "exhaustive":
-        print(
-            f"{report.total_matrices} matrices, {report.class_count} classes, "
-            f"bound {report.total_matrices}, bound met: {met}"
-        )
+        tally = f"{report.total_matrices} matrices"
     else:
-        print(
-            f"sampled {report.evaluated} of {report.total_matrices} matrices (seed {args.seed}), "
-            f"{report.class_count} classes, bound {report.total_matrices}, bound met: {met}"
-        )
-    return 0
+        tally = f"sampled {report.evaluated} of {report.total_matrices} matrices (seed {args.seed})"
+    return 0, [
+        f"n: {report.n}",
+        f"free bits: {report.free_bits}",
+        f"{tally}, {report.class_count} classes, bound {report.total_matrices}, bound met: {met}",
+    ]
 
 
-def _cmd_hasse(args) -> int:
+def _cmd_hasse(args):
     text = _read_text(args.file)
     if sniff_format(text) == "algebra":
         t = parse_algebra_file(text)
@@ -372,55 +309,56 @@ def _cmd_hasse(args) -> int:
         poset = Poset(leq=domination_leq(rows), labels=row_strings(rows))
     covers = hasse_covers(poset)
     if args.json:
-        _emit_json(
-            {
-                "command": "hasse",
-                "n": poset.n,
-                "labels": [poset.label(i) for i in range(poset.n)],
-                "covers": [list(c) for c in covers],
-            }
-        )
-        return 0
+        return 0, {
+            "n": poset.n,
+            "labels": [poset.label(i) for i in range(poset.n)],
+            "covers": [list(c) for c in covers],
+        }
     if args.format == "text":
-        print("covers:")
-        for lo, hi in covers:
-            print(f"{poset.label(lo)} < {poset.label(hi)}")
-        return 0
-    print("digraph hasse {")
-    print("  rankdir=BT;")
+        return 0, ["covers:", *(f"{poset.label(lo)} < {poset.label(hi)}" for lo, hi in covers)]
+    lines = ["digraph hasse {", "  rankdir=BT;"]
     for i in range(poset.n):
         label = poset.label(i).replace("\\", "\\\\").replace('"', '\\"')
-        print(f'  n{i} [label="{label}"];')
-    for lo, hi in covers:
-        print(f"  n{lo} -> n{hi};")
-    print("}")
-    return 0
+        lines.append(f'  n{i} [label="{label}"];')
+    lines += [f"  n{lo} -> n{hi};" for lo, hi in covers]
+    lines.append("}")
+    return 0, lines
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args):
     t1 = _load_algebra(args.algfile1)
     t2 = _load_algebra(args.algfile2)
     mapping = are_isomorphic(t1, t2)
+    code = 0 if mapping is not None else 1
     if args.json:
-        _emit_json(
-            {
-                "command": "iso",
-                "isomorphic": mapping is not None,
-                "mapping": list(mapping) if mapping is not None else None,
-            }
-        )
-    elif mapping is not None:
-        print("isomorphic: yes")
-        pairs = ", ".join(f"{t1.label(i)} -> {t2.label(v)}" for i, v in enumerate(mapping))
-        print(f"mapping: {pairs}")
-    else:
-        print("isomorphic: no")
-    return 0 if mapping is not None else 1
+        return code, {
+            "isomorphic": mapping is not None,
+            "mapping": list(mapping) if mapping is not None else None,
+        }
+    if mapping is None:
+        return code, ["isomorphic: no"]
+    pairs = ", ".join(f"{t1.label(i)} -> {t2.label(v)}" for i, v in enumerate(mapping))
+    return code, ["isomorphic: yes", f"mapping: {pairs}"]
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _subcommand(p: argparse.ArgumentParser, func, *positionals: str, out: bool = False) -> None:
+    """Finish a subcommand parser once its own options are declared: `--json`
+    (in one exclusive group with `--out` when the command can write a file),
+    then the positionals.  Options keep their declaration order in usage and
+    `--help`, so `--json` stays the last option of every command."""
+    group = p
+    if out:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--out", help="write the algebra file here instead of stdout")
+    group.add_argument("--json", action="store_true")
+    for name in positionals:
+        p.add_argument(name)
+    p.set_defaults(func=func)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -431,95 +369,74 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build an algebra from a code file")
     p.add_argument("--mode", choices=("embed", "direct"), default="embed")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--out", help="write the algebra file here instead of stdout")
-    group.add_argument("--json", action="store_true")
-    p.add_argument("codefile")
-    p.set_defaults(func=_cmd_build)
+    _subcommand(p, _cmd_build, "codefile", out=True)
 
     p = sub.add_parser("verify", help="check the axioms of an algebra file")
     p.add_argument("--kind", choices=("bci", "bck", "hilbert"), required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("algfile")
-    p.set_defaults(func=_cmd_verify)
+    _subcommand(p, _cmd_verify, "algfile")
 
     p = sub.add_parser("props", help="commutative/implicative/positive-implicative flags")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("algfile")
-    p.set_defaults(func=_cmd_props)
+    _subcommand(p, _cmd_props, "algfile")
 
     p = sub.add_parser("dual", help="transpose a table, toggling star/dot")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--out", help="write the algebra file here instead of stdout")
-    group.add_argument("--json", action="store_true")
-    p.add_argument("algfile")
-    p.set_defaults(func=_cmd_dual)
+    _subcommand(p, _cmd_dual, "algfile", out=True)
 
     p = sub.add_parser("filters", help="enumerate filters of the (dualized) algebra")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", default=True)
     group.add_argument("--maximal", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("algfile")
-    p.set_defaults(func=_cmd_filters)
+    _subcommand(p, _cmd_filters, "algfile")
 
     p = sub.add_parser("classify", help="semisimple/local classification")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("algfile")
-    p.set_defaults(func=_cmd_classify)
+    _subcommand(p, _cmd_classify, "algfile")
 
     p = sub.add_parser("cut", help="read a code back out of a star table")
     p.add_argument("--rows", required=True, help="comma-separated row element indices")
     p.add_argument("--cols", required=True, help="comma-separated column element indices")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("algfile")
-    p.set_defaults(func=_cmd_cut)
+    _subcommand(p, _cmd_cut, "algfile")
 
     p = sub.add_parser("roundtrip", help="embed a code and recover it via cut rows")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("codefile")
-    p.set_defaults(func=_cmd_roundtrip)
+    _subcommand(p, _cmd_roundtrip, "codefile")
 
     p = sub.add_parser("family", help="emit a semisimple- or local-family code")
     p.add_argument("--kind", choices=("semisimple", "local"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bits", help="free-bit assignment for the local family")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_family)
+    _subcommand(p, _cmd_family)
 
     p = sub.add_parser("census", help="isomorphism census of the matrix family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sample", type=int, help="sample this many assignments instead of exhausting")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_census)
+    _subcommand(p, _cmd_census)
 
     p = sub.add_parser("hasse", help="covering relation of a code or algebra file")
     p.add_argument("--format", choices=("dot", "text"), default="dot")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_hasse)
+    _subcommand(p, _cmd_hasse, "file")
 
     p = sub.add_parser("iso", help="test two algebra files for isomorphism")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("algfile1")
-    p.add_argument("algfile2")
-    p.set_defaults(func=_cmd_iso)
+    _subcommand(p, _cmd_iso, "algfile1", "algfile2")
 
     return parser
 
 
 def run_command(argv) -> int:
+    """Parse argv, run the subcommand, then write its report: the one place
+    that writes to stdout or `--out`, so a command that fails writes nothing."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        if args.json:
+            report = [json.dumps({"command": args.command, **report}, ensure_ascii=False, indent=2)]
+        _write_text(getattr(args, "out", None), "".join(f"{line}\n" for line in report))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def main() -> None:

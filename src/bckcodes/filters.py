@@ -116,11 +116,7 @@ def is_filter(h: OpTable, s) -> tuple[bool, tuple[int, int] | None]:
     """Whether s contains theta and is deductively closed; on failure the
     witness is the first violating pair in index order."""
     grow = _growth(h, _require_hilbert(h))
-    return _closure_witness(grow, _check_members(h, s))
-
-
-def _closure_witness(grow, members: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
-    """`is_filter` on a Hilbert table, given its `_growth`."""
+    members = _check_members(h, s)
     if 0 not in members:
         return False, None
     mask = sum(1 << i for i in members)

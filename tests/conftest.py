@@ -60,6 +60,18 @@ def _closed(dot_table: np.ndarray, members: frozenset) -> bool:
     return True
 
 
+def filter_witness(dot_table: np.ndarray, members) -> tuple[bool, tuple[int, int] | None]:
+    """Oracle for `is_filter`: whether the set holds theta (0) and is
+    deductively closed, with the first violating (x, y) in index order: x
+    inside, y outside, x.y inside."""
+    if 0 not in members:
+        return False, None
+    inside = np.zeros(len(dot_table), dtype=bool)
+    inside[list(members)] = True
+    xs, ys = np.nonzero(inside[:, None] & ~inside & inside[dot_table])
+    return (True, None) if len(xs) == 0 else (False, (int(xs[0]), int(ys[0])))
+
+
 def brute_maximal(dot_table: np.ndarray, theta: int = 0) -> list[frozenset]:
     n = dot_table.shape[0]
     carrier = frozenset(range(n))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 
 from bckcodes import cli, codegen
 from bckcodes.cli import run_command
+from bckcodes.codegen import roundtrip_check
 
 from conftest import FIXTURES
 
@@ -712,18 +714,199 @@ class TestJsonReports:
         assert out == pinned({"command": "iso", "isomorphic": False, "mapping": None})
 
 
+def text(*lines: str) -> str:
+    """The exact bytes of a text report: each line ends in a newline."""
+    return "".join(f"{line}\n" for line in lines)
+
+
+EMBED9_STAR_LINES = (
+    "kind star",
+    "n 9",
+    "theta 0",
+    "labels θ w2 w3 w4 w5 w6 w7 w8 w9",
+    "0 0 0 0 0 0 0 0 0",
+    "1 0 1 1 1 1 1 0 0",
+    "2 2 0 2 2 2 2 0 2",
+    "3 3 3 0 3 3 3 3 0",
+    "4 4 4 4 0 4 4 4 4",
+    "5 5 5 5 5 0 5 5 5",
+    "6 6 6 6 6 6 0 6 6",
+    "7 7 7 7 7 7 7 0 7",
+    "8 8 8 8 8 8 8 8 0",
+)
+
+TEXT_REPORTS = {
+    ("build", "--mode", "embed", "embed9.code"): (
+        0,
+        text(
+            *EMBED9_STAR_LINES,
+            "# origins: θ=theta w2=code_row:3 w3=code_row:2 w4=code_row:1 w5=code_row:0 "
+            "w6=tail_row:0 w7=tail_row:1 w8=tail_row:2 w9=tail_row:3",
+            "# tail elements: w6 w7 w8 w9",
+            "# tail set {θ, w6, w7, w8, w9}: NOT a filter in the dual algebra (witness x=w8, y=w2)",
+        ),
+    ),
+    ("build", "--mode", "direct", "local5.code"): (
+        0,
+        text(
+            "kind star",
+            "n 5",
+            "theta 0",
+            "labels θ a b c d",
+            "0 0 0 0 0",
+            "1 0 1 0 0",
+            "2 2 0 0 0",
+            "3 3 3 0 0",
+            "4 4 4 4 0",
+            "# origins: θ=theta a=code_row:1 b=code_row:2 c=code_row:3 d=code_row:4",
+        ),
+    ),
+    ("verify", "--kind", "bck", "local5_star.alg"): (0, text("kind: bck", "n: 5", "passed: yes")),
+    ("props", "local5_star.alg"): (
+        0,
+        text(
+            "n: 5",
+            "commutative: no (witness x=a, y=c)",
+            "implicative: no (witness x=a, y=c)",
+            "positive implicative: yes",
+        ),
+    ),
+    ("classify", "semisimple4_star.alg"): (
+        0,
+        text(
+            "n: 4",
+            "filters: 8",
+            "maximal filters: 3",
+            "  {θ, a, b}",
+            "  {θ, a, c}",
+            "  {θ, b, c}",
+            "radical: {θ}",
+            "local: no",
+            "semisimple: yes",
+        ),
+    ),
+    ("filters", "--all", "local5_dot.alg"): (
+        0,
+        text("filters: 6", "{θ}", "{θ, a}", "{θ, b}", "{θ, a, b}", "{θ, a, b, c}", "{θ, a, b, c, d}"),
+    ),
+    ("filters", "--maximal", "semisimple4_star.alg"): (
+        0,
+        text("maximal filters: 3", "{θ, a, b}", "{θ, a, c}", "{θ, b, c}"),
+    ),
+    ("cut", "--rows", "1,2,1", "--cols", "5,6", "embed9_star.alg"): (
+        0,
+        text("00", "00", "00", "# collision: row 1 repeats row 0", "# collision: row 2 repeats row 0"),
+    ),
+    ("roundtrip", "embed9.code"): (0, text("roundtrip: ok (4 words recovered)")),
+    ("family", "--kind", "semisimple", "--n", "4"): (0, text("1111", "0100", "0010", "0001")),
+    ("census", "--n", "5"): (
+        0,
+        text("n: 5", "free bits: 6", "64 matrices, 16 classes, bound 64, bound met: no"),
+    ),
+    ("census", "--n", "8", "--sample", "20", "--seed", "3"): (
+        0,
+        text(
+            "n: 8",
+            "free bits: 21",
+            "sampled 20 of 2097152 matrices (seed 3), 19 classes, bound 2097152, bound met: no",
+        ),
+    ),
+    ("hasse", "--format", "text", "semisimple4.code"): (
+        0,
+        text("covers:", "1111 < 0100", "1111 < 0010", "1111 < 0001"),
+    ),
+    ("hasse", "local5_star.alg"): (
+        0,
+        text(
+            "digraph hasse {",
+            "  rankdir=BT;",
+            '  n0 [label="θ"];',
+            '  n1 [label="a"];',
+            '  n2 [label="b"];',
+            '  n3 [label="c"];',
+            '  n4 [label="d"];',
+            "  n0 -> n1;",
+            "  n0 -> n2;",
+            "  n1 -> n3;",
+            "  n2 -> n3;",
+            "  n3 -> n4;",
+            "}",
+        ),
+    ),
+    ("iso", "local5_star.alg", "local5_star.alg"): (
+        0,
+        text("isomorphic: yes", "mapping: θ -> θ, a -> a, b -> b, c -> c, d -> d"),
+    ),
+    ("iso", "local5_star.alg", "semisimple4_star.alg"): (1, text("isomorphic: no")),
+}
+
+
+class TestTextReports:
+    """Whole text reports, byte for byte; a trailing argument names a fixture."""
+
+    @pytest.mark.parametrize("argv", list(TEXT_REPORTS), ids=" ".join)
+    def test_report(self, capsys, argv):
+        args = [fx(a) if (FIXTURES / a).is_file() else a for a in argv]
+        assert run(capsys, *args) == (*TEXT_REPORTS[argv], "")
+
+    def test_verify_fail(self, capsys, tmp_path):
+        path = alg_file(tmp_path, "kind star\nn 2\ntheta 0\n0 0\n1 1\n")
+        assert run(capsys, "verify", "--kind", "bck", path) == (
+            1,
+            text(
+                "kind: bck",
+                "n: 2",
+                "passed: no",
+                "axiom 1 violated at (x=1, y=0, z=0)",
+                "axiom 2 violated at (x=1, y=0)",
+                "axiom 3 violated at (x=1)",
+            ),
+            "",
+        )
+
+    def test_roundtrip_failed(self, capsys, monkeypatch):
+        def corrupted(code):
+            report = roundtrip_check(code)
+            recovered = ("0111", *report.recovered[1:])
+            return dataclasses.replace(report, ok=False, recovered=recovered, first_mismatch=0)
+
+        monkeypatch.setattr(cli, "roundtrip_check", corrupted)
+        assert run(capsys, "roundtrip", fx("embed9.code")) == (
+            1,
+            text("roundtrip: FAILED at word 0: got 0111, expected 0011"),
+            "",
+        )
+
+
+HELP_COMMANDS = [
+    "bckcodes", "build", "verify", "props", "dual", "filters", "classify",
+    "cut", "roundtrip", "family", "census", "hasse", "iso",
+]
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_text(capsys, monkeypatch, command):
+    """Usage and --help bytes; argparse wraps them to COLUMNS."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "bckcodes" else [command, "--help"]
+    want = (FIXTURES / "help" / f"{command}.txt").read_text(encoding="utf-8")
+    assert run(capsys, *argv) == (0, want, "")
+
+
 class TestOneElementAndOrderErrors:
     def test_classify_degenerate_text(self, capsys, tmp_path):
         path = alg_file(tmp_path, "kind star\nn 1\ntheta 0\n0\n")
-        code, out, err = run(capsys, "classify", path)
-        assert (code, err) == (0, "")
-        assert out.splitlines() == [
-            "n: 1",
-            "filters: 1",
-            "degenerate: single-element algebra, no proper filters",
-            "local: n/a",
-            "semisimple: n/a",
-        ]
+        assert run(capsys, "classify", path) == (
+            0,
+            text(
+                "n: 1",
+                "filters: 1",
+                "degenerate: single-element algebra, no proper filters",
+                "local: n/a",
+                "semisimple: n/a",
+            ),
+            "",
+        )
 
     @pytest.mark.parametrize(
         "text, message",
