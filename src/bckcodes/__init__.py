@@ -40,7 +40,6 @@ from .model import (
     CutResult,
     Embedding,
     OpTable,
-    Poset,
     RoundtripReport,
 )
 from .posets import hasse_covers
@@ -54,7 +53,6 @@ __all__ = [
     "Embedding",
     "FormatError",
     "OpTable",
-    "Poset",
     "RoundtripReport",
     "STAR",
     "UsageError",

@@ -6,7 +6,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import UsageError
-from .model import DOT, STAR, OpTable, Poset, order_fault
+from .model import DOT, STAR, OpTable
+from .posets import order_fault
 
 KINDS = ("bci", "bck", "hilbert")
 
@@ -49,7 +50,7 @@ def verify_axioms(t: OpTable, kind: str) -> tuple[tuple[int, tuple[int, ...]], .
         raise UsageError(f"{kind} axioms apply to star tables, got a {t.kind} table")
     if kind == "hilbert" and t.kind != DOT:
         raise UsageError(f"hilbert axioms apply to dot tables, got a {t.kind} table")
-    if _order_induced(t.table.T if kind == "hilbert" else t.table):
+    if induced_order(t.table.T if kind == "hilbert" else t.table) is not None:
         return ()
     if kind == "hilbert":
         scan = _kernels.hilbert_axiom_scan(t.table)
@@ -60,13 +61,17 @@ def verify_axioms(t: OpTable, kind: str) -> tuple[tuple[int, tuple[int, ...]], .
     return tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
 
 
-def _order_induced(star: np.ndarray) -> bool:
-    """Whether the star table is x*y = 0 if x <= y, else x, for a partial
-    order with 0 least: the closed form of `verify_axioms`.  Row 0 of such
-    a table is all 0, so 0 is least."""
+def induced_order(star: np.ndarray) -> np.ndarray | None:
+    """The order of an order-induced star table, or None for any other.
+
+    A star table is order-induced, the closed form of `verify_axioms`, when
+    x*y = 0 if x <= y, else x, for a partial order with 0 least.  Its order
+    is the boolean matrix `star == 0`: entry (x, y) says x <= y.  Row 0 of
+    such a table is all 0, so 0 is least."""
     leq = star == 0
-    in_form = (leq | (star == np.arange(len(star))[:, None])).all()
-    return bool(in_form) and order_fault(leq) is None
+    if (leq | (star == np.arange(len(star))[:, None])).all() and order_fault(leq) is None:
+        return leq
+    return None
 
 
 def require_axioms(t: OpTable, kind: str) -> None:
@@ -87,7 +92,7 @@ def bck_properties(t: OpTable) -> dict[str, tuple[int, ...] | None]:
     BCK star table: property name -> first counterexample, or None when the
     property holds.  An order-induced table is positive implicative by the
     lemma in `verify_axioms`, so only its two n^2 checks run."""
-    if t.kind == STAR and _order_induced(t.table):
+    if t.kind == STAR and induced_order(t.table) is not None:
         return dict(zip(PROPERTIES, (*_kernels.commutative_implicative_scan(t.table), None)))
     require_axioms(t, "bck")
     return dict(zip(PROPERTIES, _kernels.bck_property_scan(t.table)))
@@ -99,19 +104,19 @@ def dualize(t: OpTable) -> OpTable:
     return OpTable(table=t.table.T, kind=DOT if t.kind == STAR else STAR, labels=t.labels)
 
 
-def bck_order(t: OpTable) -> Poset:
-    """The partial order x <= y iff x*y = theta of a BCK star table, with
-    theta = 0 below every element."""
+def bck_order(t: OpTable) -> np.ndarray:
+    """The partial order x <= y iff x*y = theta of a BCK star table, as a
+    boolean matrix (entry (x, y) says x <= y), with theta = 0 below every
+    element."""
     if t.kind != STAR:
         raise UsageError("bck_order needs a star table")
-    problem = "table does not induce a partial order"
-    try:
-        poset = Poset(leq=t.table == 0, labels=t.labels)
-    except UsageError as exc:
-        raise UsageError(f"{problem}: {exc}") from None
-    if not poset.leq[0].all():
-        raise UsageError(f"{problem}: element 0 is not below every element")
-    return poset
+    leq = t.table == 0
+    fault = order_fault(leq)
+    if fault is None and not leq[0].all():
+        fault = "element 0 is not below every element"
+    if fault is not None:
+        raise UsageError(f"table does not induce a partial order: {fault}")
+    return leq
 
 
 def refine_colors(a: np.ndarray, b: np.ndarray, colors=None) -> list[int]:

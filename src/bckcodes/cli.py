@@ -7,13 +7,15 @@ is written.  A file argument of `-` reads the `.code` or `.alg` text from
 stdin.  All reports are deterministic: elements appear in
 canonical index order and filters are sorted by cardinality then bitmask.
 
-A report is written once, by `run_command`, after its command has finished,
-so on exit 2 or 3 stdout is empty; every `--json` report is one object whose
-first key is `command`.
+A report is written once, by `run_command`, after its command has returned,
+so an error the command raises (exit 2 or 3) leaves stdout empty.  A text
+report is written one line at a time; every `--json` report is one object
+whose first key is `command`.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -25,7 +27,7 @@ from .embedding import carrier_rows, direct_algebra, embed_code, tail_set_check
 from .errors import UsageError
 from .fileio import parse_algebra_file, parse_code_file, serialize_algebra, serialize_code, sniff_format
 from .filters import all_filters, classify, maximal_filters
-from .model import DOT, STAR, OpTable, Poset, row_strings
+from .model import DOT, STAR, OpTable, row_strings
 from .posets import domination_leq, hasse_covers
 
 EXIT_INTERNAL = 3
@@ -41,13 +43,16 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write to `path`, or to stdout when no path is given."""
+def _write_lines(path: str | None, lines) -> None:
+    """Write each line and a newline to `path`, or to stdout when no path
+    is given, one line at a time."""
+    text = (f"{line}\n" for line in lines)
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as out:
+            out.writelines(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -72,7 +77,7 @@ def _filter_json(members, t: OpTable) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (exit code, report), where the report is the
-# `--json` object without its command key, or else the lines of text
+# `--json` object without its command key, or else an iterable of text lines
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args):
@@ -178,7 +183,8 @@ def _cmd_filters(args):
             "count": len(found),
             "filters": [_filter_json(f, h) for f in found],
         }
-    return 0, [f"{title}: {len(found)}", *(_set_str(f, h) for f in found)]
+    # formatted while it is written, so the lines are never all held at once
+    return 0, itertools.chain([f"{title}: {len(found)}"], (_set_str(f, h) for f in found))
 
 
 def _cmd_classify(args):
@@ -303,22 +309,22 @@ def _cmd_hasse(args):
         t = parse_algebra_file(text)
         if t.kind == DOT:
             t = dualize(t)
-        poset = bck_order(t)
+        leq, labels = bck_order(t), [t.label(i) for i in range(t.n)]
     else:
         rows = carrier_rows(parse_code_file(text))[0]
-        poset = Poset(leq=domination_leq(rows), labels=row_strings(rows))
-    covers = hasse_covers(poset)
+        leq, labels = domination_leq(rows), row_strings(rows)
+    covers = hasse_covers(leq)
     if args.json:
         return 0, {
-            "n": poset.n,
-            "labels": [poset.label(i) for i in range(poset.n)],
+            "n": len(labels),
+            "labels": list(labels),
             "covers": [list(c) for c in covers],
         }
     if args.format == "text":
-        return 0, ["covers:", *(f"{poset.label(lo)} < {poset.label(hi)}" for lo, hi in covers)]
+        return 0, ["covers:", *(f"{labels[lo]} < {labels[hi]}" for lo, hi in covers)]
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i in range(poset.n):
-        label = poset.label(i).replace("\\", "\\\\").replace('"', '\\"')
+    for i, label in enumerate(labels):
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     lines += [f"  n{lo} -> n{hi};" for lo, hi in covers]
     lines.append("}")
@@ -326,6 +332,8 @@ def _cmd_hasse(args):
 
 
 def _cmd_iso(args):
+    if args.algfile1 == args.algfile2 == "-":
+        raise UsageError("stdin can be read only once: at most one of the two files may be '-'")
     t1 = _load_algebra(args.algfile1)
     t2 = _load_algebra(args.algfile2)
     mapping = are_isomorphic(t1, t2)
@@ -432,7 +440,7 @@ def run_command(argv) -> int:
         code, report = args.func(args)
         if args.json:
             report = [json.dumps({"command": args.command, **report}, ensure_ascii=False, indent=2)]
-        _write_text(getattr(args, "out", None), "".join(f"{line}\n" for line in report))
+        _write_lines(getattr(args, "out", None), report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

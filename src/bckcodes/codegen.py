@@ -303,8 +303,6 @@ def _census_labellings(up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         below = full ^ up[who, x, None]  # bit y: x is not <= y
         # the row's first k + 1 bits: the placed prefix, then x <= x reads 0
         prefix = (below >> placed[state, :k] & 1) @ bit[k:0:-1]
-        keep = prefix == np.minimum.reduceat(prefix, np.searchsorted(who, ids))[who]
-        state, x, who, below, prefix = state[keep], x[keep], who[keep], below[keep], prefix[keep]
         # each cell's elements above x come first and read 0
         split = cells[state]
         split[:, 0] ^= bit[x]

@@ -7,7 +7,7 @@ for Hilbert algebras (Diego, *Sur les algèbres de Hilbert*, 1966): the
 filter generated by a filter D and an element a is {x : a.x in D}, one
 pass over row a.
 
-On a dot table whose transpose is order-induced (`algebra._order_induced`,
+On a dot table whose transpose is order-induced (`algebra.induced_order`,
 the closed form of `verify_axioms`) the filters are read off the order.
 Lemma: let x <= y iff y.x = 0 be a partial order with 0 least, and let
 x.y = 0 if y <= x, else y.  Then a set is a filter iff it is a nonempty
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .algebra import _order_induced, dualize, require_axioms
+from .algebra import dualize, induced_order, require_axioms
 from .errors import UsageError
 from .model import DOT, STAR, ClassificationReport, OpTable
 
@@ -43,16 +43,17 @@ from .model import DOT, STAR, ClassificationReport, OpTable
 FILTER_STATE_BUDGET = 1 << 18
 
 
-def _require_hilbert(h: OpTable) -> bool:
-    """Raise a UsageError unless h is a Hilbert dot table.  Returns whether
-    the lemma of the module docstring applies; such a table passes the
-    axioms in closed form, and any other is scanned."""
+def _require_hilbert(h: OpTable) -> np.ndarray | None:
+    """Raise a UsageError unless h is a Hilbert dot table.  Returns the
+    order (entry (x, y) says x <= y) when the lemma of the module docstring
+    applies, else None; such a table passes the axioms in closed form, and
+    any other is scanned."""
     if h.kind != DOT:
         raise UsageError("filters are defined on dot tables; dualize the star table first")
-    if _order_induced(h.table.T):
-        return True
-    require_axioms(h, "hilbert")
-    return False
+    leq = induced_order(h.table.T)
+    if leq is None:
+        require_axioms(h, "hilbert")
+    return leq
 
 
 def _over_budget(work: str, n: int, result: str) -> UsageError:
@@ -89,12 +90,13 @@ def _grow(row: tuple[int, ...], mask: int) -> int:
     return grown
 
 
-def _growth(h: OpTable, induced: bool):
+def _growth(h: OpTable, leq: np.ndarray | None):
     """The closure step on a Hilbert table, grow(a, mask): the filter
-    generated by the filter `mask` and the element a.  On an `induced` table
-    it is one OR with the down-set of a, else a pass over row a."""
-    if induced:
-        down = _row_masks(h.table == 0)  # row a: {x : a.x = 0} = {x <= a}
+    generated by the filter `mask` and the element a.  On a table induced
+    by the order `leq` it is one OR with the down-set of a, else (`leq` is
+    None) a pass over row a."""
+    if leq is not None:
+        down = _row_masks(leq.T)  # row a: {x <= a}
         return lambda a, mask: mask | down[a]
     rows = _pytable(h)
     return lambda a, mask: _grow(rows[a], mask)
@@ -180,12 +182,13 @@ def _enumerate_masks(n: int, grow) -> tuple[list[int], list[int]]:
     return sorted(found, key=order), sorted(maximal, key=order)
 
 
-def _order_maximal(h: OpTable) -> list[int]:
-    """The maximal proper filters of an induced table: the carrier minus one
-    maximal element m != 0 each, in (cardinality, bitmask) order, which is
-    by decreasing m.  Column m of `h.table == 0` is the up-set of m."""
-    above = (h.table == 0).sum(axis=0)
-    carrier = (1 << h.n) - 1
+def _order_maximal(leq: np.ndarray) -> list[int]:
+    """The maximal proper filters of the table induced by the order `leq`:
+    the carrier minus one maximal element m != 0 each, in (cardinality,
+    bitmask) order, which is by decreasing m.  Row m of `leq` is the up-set
+    of m."""
+    above = leq.sum(axis=1)
+    carrier = (1 << len(leq)) - 1
     return [carrier ^ 1 << int(m) for m in np.flatnonzero(above[1:] == 1)[::-1] + 1]
 
 
@@ -261,10 +264,11 @@ def all_filters(h: OpTable) -> list[frozenset[int]]:
 def maximal_filters(h: OpTable) -> list[frozenset[int]]:
     """Proper filters maximal under inclusion among proper filters; empty
     for the one-element algebra.  Read off the order on an induced table."""
-    if _require_hilbert(h):
-        masks = _order_maximal(h)
+    leq = _require_hilbert(h)
+    if leq is not None:
+        masks = _order_maximal(leq)
     else:
-        masks = _enumerate_masks(h.n, _growth(h, False))[1]
+        masks = _enumerate_masks(h.n, _growth(h, None))[1]
     return [_mask_to_set(m, h.n) for m in masks]
 
 
@@ -278,12 +282,12 @@ def classify(h: OpTable) -> ClassificationReport:
     """
     if h.kind == STAR:
         h = dualize(h)
-    if _require_hilbert(h):
-        maximal = _order_maximal(h)
-        zero = h.table == 0
-        count = _antichain_count(_row_masks(zero | zero.T), (1 << h.n) - 2)
+    leq = _require_hilbert(h)
+    if leq is not None:
+        maximal = _order_maximal(leq)
+        count = _antichain_count(_row_masks(leq | leq.T), (1 << h.n) - 2)
     else:
-        masks, maximal = _enumerate_masks(h.n, _growth(h, False))
+        masks, maximal = _enumerate_masks(h.n, _growth(h, None))
         count = len(masks)
     if h.n == 1:
         return ClassificationReport(

@@ -1,4 +1,4 @@
-"""Domain types: operation tables, posets, block codes, reports.
+"""Domain types: operation tables, block codes, reports.
 
 All values are immutable after construction and validate their own
 invariants, so they can be shared freely.
@@ -135,68 +135,6 @@ class BlockCode:
         if not isinstance(other, BlockCode):
             return NotImplemented
         return np.array_equal(self.matrix, other.matrix)
-
-
-def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The boolean matrix product: entry (i, j) says a[i, k] and b[k, j] for
-    some k.  It runs as a float32 (BLAS) matmul, whose 0/1 sums are exact
-    up to 2^24 terms."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
-
-
-def order_fault(leq: np.ndarray) -> str | None:
-    """Why the square boolean relation `leq` is not a partial order, or None.
-
-    Reflexivity is tested first, then antisymmetry, then transitivity; a
-    named pair is the first offending one in row-major order.
-    """
-    if not leq.diagonal().all():
-        return "relation is not reflexive"
-    both = leq & leq.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        i, j = np.unravel_index(int(both.argmax()), both.shape)
-        return f"relation is not antisymmetric: {i} <= {j} and {j} <= {i}"
-    beyond = bool_product(leq, leq) & ~leq
-    if beyond.any():
-        i, j = np.unravel_index(int(beyond.argmax()), beyond.shape)
-        return f"relation is not transitive at ({i}, {j})"
-    return None
-
-
-@dataclass(frozen=True, eq=False)
-class Poset:
-    """A finite partial order given as a boolean leq matrix."""
-
-    leq: np.ndarray
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        arr = _frozen_array(self.leq, bool)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise UsageError(f"leq must be a square matrix, got shape {arr.shape}")
-        n = arr.shape[0]
-        fault = order_fault(arr)
-        if fault is not None:
-            raise UsageError(fault)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != n or any(not s for s in labels) or len(set(labels)) != n:
-                raise UsageError("labels must be n distinct non-empty strings")
-            object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "leq", arr)
-
-    @property
-    def n(self) -> int:
-        return self.leq.shape[0]
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poset):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.leq, other.leq)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""The codeword domination order, lexicographic sorting and the
-order-to-table constructor."""
+"""The codeword domination order, lexicographic sorting, the
+order-to-table constructor, and the checks and covers of an order given as
+a boolean matrix."""
 from __future__ import annotations
 
 import numpy as np
 
-from .model import BlockCode, Poset, bool_product
+from .model import BlockCode
 
 
 def lex_sort_desc_with_perm(c: BlockCode) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -39,9 +40,37 @@ def star_from_order(leq: np.ndarray) -> np.ndarray:
     return np.where(leq, 0, np.arange(len(leq))[:, None])
 
 
-def hasse_covers(p: Poset) -> list[tuple[int, int]]:
-    """Covering pairs (x, y): x strictly below y with nothing in between,
-    ordered by (lower, upper) index."""
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
+def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean matrix product: entry (i, j) says a[i, k] and b[k, j] for
+    some k.  It runs as a float32 (BLAS) matmul, whose 0/1 sums are exact
+    up to 2^24 terms."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def order_fault(leq: np.ndarray) -> str | None:
+    """Why the square boolean relation `leq` is not a partial order, or None.
+
+    Reflexivity is tested first, then antisymmetry, then transitivity; a
+    named pair is the first offending one in row-major order.
+    """
+    if not leq.diagonal().all():
+        return "relation is not reflexive"
+    both = leq & leq.T
+    np.fill_diagonal(both, False)
+    if both.any():
+        i, j = np.unravel_index(int(both.argmax()), both.shape)
+        return f"relation is not antisymmetric: {i} <= {j} and {j} <= {i}"
+    beyond = bool_product(leq, leq) & ~leq
+    if beyond.any():
+        i, j = np.unravel_index(int(beyond.argmax()), beyond.shape)
+        return f"relation is not transitive at ({i}, {j})"
+    return None
+
+
+def hasse_covers(leq: np.ndarray) -> list[tuple[int, int]]:
+    """Covering pairs (x, y) of the partial order `leq` (leq[x, y] says
+    x <= y): x strictly below y with nothing in between, ordered by (lower,
+    upper) index."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
     covers = strict & ~bool_product(strict, strict)
     return [(int(i), int(j)) for i, j in np.argwhere(covers)]

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import sys
 import time
 import tracemalloc
@@ -24,6 +25,7 @@ from bckcodes import (
     parse_algebra_file,
     refine_colors,
     semisimple_family,
+    serialize_algebra,
     verify_axioms,
 )
 from bckcodes import _kernels as K
@@ -202,11 +204,11 @@ class TestPropertyWitnesses:
     def test_witnesses_reevaluate_as_violations(self):
         # over every poset-induced table on up to 4 elements, a false flag
         # must come with a witness that violates the defining identity
-        from test_posets import all_posets_with_least, poset_table
+        from test_posets import all_posets_with_least, order_table
 
         for n in range(1, 5):
-            for poset in all_posets_with_least(n):
-                table = poset_table(poset)
+            for leq in all_posets_with_least(n):
+                table = order_table(leq)
                 t = table.table
                 witnesses = bck_properties(table)
                 if witnesses["commutative"] is not None:
@@ -264,29 +266,35 @@ class TestDualize:
 
 class TestBckOrder:
     def test_local5_relations(self):
-        poset = bck_order(star_table(LOCAL5_STAR))
+        leq = bck_order(star_table(LOCAL5_STAR))
+        assert leq.dtype == bool
         strict = {
             (i, j)
             for i in range(5)
             for j in range(5)
-            if i != j and poset.leq[i, j]
+            if i != j and leq[i, j]
         }
         assert strict == LOCAL5_ORDER
-        assert poset.leq[0].all()
+        assert leq[0].all()
 
     def test_reflexive_for_any_valid_table(self):
-        poset = bck_order(star_table(EMBED9_STAR))
-        assert poset.leq.diagonal().all()
+        leq = bck_order(star_table(EMBED9_STAR))
+        assert leq.diagonal().all()
 
     def test_semi4_antichain_over_theta(self):
-        poset = bck_order(star_table(SEMI4_STAR))
+        leq = bck_order(star_table(SEMI4_STAR))
         for i, j in itertools.permutations(range(1, 4), 2):
-            assert not poset.leq[i, j]
-        assert poset.leq[0].all()
+            assert not leq[i, j]
+        assert leq[0].all()
 
-    def test_labels_carried(self):
-        poset = bck_order(star_table(LOCAL5_STAR, labels=("θ", "a", "b", "c", "d")))
-        assert poset.labels == ("θ", "a", "b", "c", "d")
+    def test_labels_carried(self, tmp_path, capsys):
+        # the order is a bare matrix: labels stay on the table, where `hasse` reads them
+        labelled = star_table(LOCAL5_STAR, labels=("θ", "a", "b", "c", "d"))
+        assert np.array_equal(bck_order(labelled), bck_order(star_table(LOCAL5_STAR)))
+        path = tmp_path / "local5.alg"
+        path.write_text(serialize_algebra(labelled), encoding="utf-8")
+        assert run_command(["hasse", "--json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["labels"] == ["θ", "a", "b", "c", "d"]
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -315,7 +315,27 @@ class TestCensusAnchors:
         assert self.census_sha(capsys, *argv) == CENSUS_ANCHORS[argv]
 
 
+# sha256[:16] of `hasse` on each fixture, per format; the star and dot
+# tables of one algebra give one report
+HASSE_ANCHORS = {
+    "embed9.code": {"--json": "ccf834892e1e79e1", "dot": "01ada938cdfff096", "text": "244b0c47c386c89a"},
+    "embed9.alg": {"--json": "12e1b3219953d849", "dot": "f6af26a10bce2b1f", "text": "7841cf7bf57c2a51"},
+    "local5.code": {"--json": "b5782cd828eb16a9", "dot": "cf3dbe11dda988ae", "text": "8391df8730cfabeb"},
+    "local5.alg": {"--json": "4af5d01ce21932cb", "dot": "86adc03fdbac6b5c", "text": "32bd4b858be34af9"},
+    "semisimple4.code": {"--json": "772caf0b918f2f9a", "dot": "990faf5f21f46103", "text": "d6dc3d0d6511c8d5"},
+    "semisimple4.alg": {"--json": "1541bb701d854935", "dot": "150f3d9e21b75d58", "text": "0ee68aa90b335eb5"},
+}
+
+
 class TestHasse:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir() if p.is_file()))
+    @pytest.mark.parametrize("fmt", ["--json", "dot", "text"])
+    def test_fixture_anchor(self, capsys, name, fmt):
+        code, out, err = run(capsys, "hasse", *([fmt] if fmt == "--json" else ["--format", fmt]), fx(name))
+        assert (code, err) == (0, "")
+        anchor = HASSE_ANCHORS[name.replace("_star", "").replace("_dot", "")][fmt]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == anchor
+
     def test_dot_output_deterministic(self, capsys):
         code, out1, _ = run(capsys, "hasse", fx("semisimple4.code"))
         code2, out2, _ = run(capsys, "hasse", fx("semisimple4.code"))
@@ -468,6 +488,14 @@ class TestStdinInput:
         monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / name).read_text(encoding="utf-8")))
         assert run(capsys, *argv, "-") == from_file
         assert from_file[0] == 0
+
+    def test_second_dash_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "local5_star.alg").read_text(encoding="utf-8")))
+        assert run(capsys, "iso", "-", "-") == (
+            2,
+            "",
+            "error: stdin can be read only once: at most one of the two files may be '-'\n",
+        )
 
 
 class TestConsoleEntryPoint:

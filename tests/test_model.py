@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bckcodes import STAR, BlockCode, OpTable, Poset, UsageError
+from bckcodes import STAR, BlockCode, OpTable, UsageError
 from bckcodes.model import row_strings
 
 
@@ -79,14 +79,11 @@ def test_row_strings_match_joined_digits(rows):
 def build(kind, values):
     if kind == "optable":
         return OpTable(table=values, kind=STAR).table
-    if kind == "poset":
-        return Poset(leq=values).leq
     return BlockCode(values).matrix
 
 
 INPUTS = {
     "optable": lambda: np.array([[0, 0], [1, 0]], dtype=np.int64),
-    "poset": lambda: np.array([[True, True], [False, True]]),
     "block_code": lambda: np.array([[1, 1], [0, 1]], dtype=np.uint8),
 }
 

@@ -14,8 +14,8 @@ from bckcodes import (
 )
 from bckcodes import codegen
 from bckcodes.embedding import carrier_rows, extend_matrix
-from bckcodes.model import Poset, order_fault, row_strings
-from bckcodes.posets import domination_leq, lex_sort_desc_with_perm, star_from_order
+from bckcodes.model import STAR, OpTable, row_strings
+from bckcodes.posets import domination_leq, lex_sort_desc_with_perm, order_fault, star_from_order
 
 from conftest import all_words, fixture_text, loop_leq, star_table
 from golden import (
@@ -35,8 +35,8 @@ def code_leq(*texts) -> np.ndarray:
     return domination_leq(BlockCode.from_strings(texts).matrix)
 
 
-def poset_table(poset: Poset):
-    return star_table(star_from_order(poset.leq))
+def order_table(leq: np.ndarray):
+    return star_table(star_from_order(leq))
 
 
 class TestCompareCodewords:
@@ -193,15 +193,16 @@ def all_posets_with_least(n):
         reach = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
         if (reach & ~leq).any():
             continue
-        yield Poset(leq=leq)
+        assert order_fault(leq) is None
+        yield leq
 
 
 class TestRelationConstructorProperties:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_all_posets_yield_positive_implicative_bck(self, n):
         count = 0
-        for poset in all_posets_with_least(n):
-            table = poset_table(poset)
+        for leq in all_posets_with_least(n):
+            table = order_table(leq)
             assert verify_axioms(table, "bck") == ()
             assert bck_properties(table)["positive_implicative"] is None
             count += 1
@@ -209,14 +210,14 @@ class TestRelationConstructorProperties:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_order_roundtrip(self, n):
-        for poset in all_posets_with_least(n):
-            assert bck_order(poset_table(poset)) == poset
+        for leq in all_posets_with_least(n):
+            assert np.array_equal(bck_order(order_table(leq)), leq)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_noncommutative_iff_nontrivial_relation(self, n):
-        for poset in all_posets_with_least(n):
-            witnesses = bck_properties(poset_table(poset))
-            strict = poset.leq & ~np.eye(n, dtype=bool)
+        for leq in all_posets_with_least(n):
+            witnesses = bck_properties(order_table(leq))
+            strict = leq & ~np.eye(n, dtype=bool)
             has_inner_relation = strict[1:, :].any()
             for name in ("commutative", "implicative"):
                 assert (witnesses[name] is not None) == has_inner_relation
@@ -224,15 +225,13 @@ class TestRelationConstructorProperties:
 
 class TestHasseCovers:
     def test_three_chain(self):
-        poset = bck_order(star_table(CHAIN3))
-        assert hasse_covers(poset) == [(0, 1), (1, 2)]
+        assert hasse_covers(bck_order(star_table(CHAIN3))) == [(0, 1), (1, 2)]
 
     def test_semi4(self):
-        poset = bck_order(star_table(SEMI4_STAR))
-        assert hasse_covers(poset) == SEMI4_COVERS
+        assert hasse_covers(bck_order(star_table(SEMI4_STAR))) == SEMI4_COVERS
 
     def test_local5_against_brute_reduction(self):
-        poset = bck_order(star_table(LOCAL5_STAR))
+        leq = bck_order(star_table(LOCAL5_STAR))
         # oracle: strict pairs with no strictly-between element
         expected = sorted(
             (x, y)
@@ -242,22 +241,22 @@ class TestHasseCovers:
             )
         )
         assert expected == LOCAL5_COVERS
-        assert hasse_covers(poset) == LOCAL5_COVERS
+        assert hasse_covers(leq) == LOCAL5_COVERS
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_transitive_closure_of_covers_rebuilds_leq(self, n):
-        for poset in all_posets_with_least(n):
+        for leq in all_posets_with_least(n):
             rebuilt = np.eye(n, dtype=bool)
-            for lo, hi in hasse_covers(poset):
+            for lo, hi in hasse_covers(leq):
                 rebuilt[lo, hi] = True
             for k in range(n):
                 rebuilt |= np.outer(rebuilt[:, k], rebuilt[k, :])
-            assert np.array_equal(rebuilt, poset.leq)
+            assert np.array_equal(rebuilt, leq)
 
 
 def brute_order_fault(leq) -> str | None:
     """Oracle in plain loops: the first failing order axiom, in the words
-    `Poset` raises it with."""
+    `bck_order` raises it with."""
     n = len(leq)
     if not all(leq[i][i] for i in range(n)):
         return "relation is not reflexive"
@@ -290,19 +289,32 @@ def random_relations(count, seed):
         yield leq
 
 
+def relation_table(leq: np.ndarray) -> OpTable:
+    """A star table whose zero cells are the true cells of `leq`: x*y is 0
+    where x <= y, else x, or 1 in row 0.  One element has no such table
+    when 0 <= 0 is false."""
+    n = len(leq)
+    return OpTable(table=np.where(leq, 0, np.maximum(np.arange(n), 1)[:, None]), kind=STAR)
+
+
 class TestOrderFault:
     def test_seeded_relations_against_loops(self):
         seen = set()
         for leq in random_relations(900, seed=61):
             fault = order_fault(leq)
             assert fault == brute_order_fault(leq.tolist()), leq
+            seen.add(fault and fault.split()[3].rstrip(":"))
+            if len(leq) == 1 and fault is not None:
+                continue
+            # bck_order accepts exactly the orders with 0 least, else names the fault
+            if fault is None and not leq[0].all():
+                fault = "element 0 is not below every element"
             if fault is None:
-                assert np.array_equal(Poset(leq=leq).leq, leq)
+                assert np.array_equal(bck_order(relation_table(leq)), leq)
             else:
                 with pytest.raises(UsageError) as err:
-                    Poset(leq=leq)
-                assert str(err.value) == fault
-            seen.add(fault and fault.split()[3].rstrip(":"))
+                    bck_order(relation_table(leq))
+                assert str(err.value) == f"table does not induce a partial order: {fault}"
         assert seen == {None, "reflexive", "antisymmetric", "transitive"}
 
     @pytest.mark.parametrize("name", ["embed9.code", "local5.code", "semisimple4.code"])
@@ -325,4 +337,5 @@ class TestHasseCoversOracle:
                 for j in range(n)
                 if i != j and leq[i, j] and not any(k not in (i, j) and leq[i, k] and leq[k, j] for k in range(n))
             ]
-            assert hasse_covers(Poset(leq=leq)) == expected
+            assert order_fault(leq) is None
+            assert hasse_covers(leq) == expected
