@@ -7,7 +7,7 @@ import numpy as np
 from . import _kernels
 from .errors import UsageError
 from .model import DOT, STAR, OpTable
-from .posets import order_fault
+from .posets import is_order
 
 KINDS = ("bci", "bck", "hilbert")
 
@@ -44,21 +44,28 @@ def verify_axioms(t: OpTable, kind: str) -> tuple[tuple[int, tuple[int, ...]], .
         x !<= z, both sides are x, since y*z is 0 or y.
     Any other table is scanned, so every failing report is the scan's.
     """
+    return _verify(t, kind)[1]
+
+
+def _verify(t: OpTable, kind: str) -> tuple[np.ndarray | None, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """`verify_axioms` with the order it read: (the induced order, ()) for
+    an order-induced table, else (None, the scan's violations)."""
     if kind not in KINDS:
         raise UsageError(f"unknown axiom kind {kind!r}, expected one of {KINDS}")
     if kind in ("bci", "bck") and t.kind != STAR:
         raise UsageError(f"{kind} axioms apply to star tables, got a {t.kind} table")
     if kind == "hilbert" and t.kind != DOT:
         raise UsageError(f"hilbert axioms apply to dot tables, got a {t.kind} table")
-    if induced_order(t.table.T if kind == "hilbert" else t.table) is not None:
-        return ()
+    leq = induced_order(t.table.T if kind == "hilbert" else t.table)
+    if leq is not None:
+        return leq, ()
     if kind == "hilbert":
         scan = _kernels.hilbert_axiom_scan(t.table)
     else:
         scan = _kernels.bck_axiom_scan(t.table)
         if kind == "bci":
             scan = scan[:4]
-    return tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
+    return None, tuple((axiom, w) for axiom, w in enumerate(scan, start=1) if w is not None)
 
 
 def induced_order(star: np.ndarray) -> np.ndarray | None:
@@ -69,19 +76,23 @@ def induced_order(star: np.ndarray) -> np.ndarray | None:
     is the boolean matrix `star == 0`: entry (x, y) says x <= y.  Row 0 of
     such a table is all 0, so 0 is least."""
     leq = star == 0
-    if (leq | (star == np.arange(len(star))[:, None])).all() and order_fault(leq) is None:
+    if (leq | (star == np.arange(len(star))[:, None])).all() and is_order(leq):
         return leq
     return None
 
 
-def require_axioms(t: OpTable, kind: str) -> None:
-    """Raise a UsageError naming the first failing axiom unless `t` passes
-    the "bck" or "hilbert" axioms."""
-    violations = verify_axioms(t, kind)
+def require_axioms(t: OpTable, kind: str) -> np.ndarray | None:
+    """The one validity gate: raise a UsageError naming the first failing
+    axiom unless `t` passes the "bck" or "hilbert" axioms.  Returns the
+    order of an order-induced table, which passes in closed form (of its
+    star form: entry (x, y) says x <= y), or None for a table that passed
+    by scan."""
+    leq, violations = _verify(t, kind)
     if violations:
         axiom, witness = violations[0]
         name = "a BCK-algebra" if kind == "bck" else "a Hilbert algebra"
         raise UsageError(f"table is not {name} (axiom {axiom} fails at {witness})")
+    return leq
 
 
 PROPERTIES = ("commutative", "implicative", "positive_implicative")
@@ -92,9 +103,8 @@ def bck_properties(t: OpTable) -> dict[str, tuple[int, ...] | None]:
     BCK star table: property name -> first counterexample, or None when the
     property holds.  An order-induced table is positive implicative by the
     lemma in `verify_axioms`, so only its two n^2 checks run."""
-    if t.kind == STAR and induced_order(t.table) is not None:
+    if require_axioms(t, "bck") is not None:
         return dict(zip(PROPERTIES, (*_kernels.commutative_implicative_scan(t.table), None)))
-    require_axioms(t, "bck")
     return dict(zip(PROPERTIES, _kernels.bck_property_scan(t.table)))
 
 
@@ -107,16 +117,9 @@ def dualize(t: OpTable) -> OpTable:
 def bck_order(t: OpTable) -> np.ndarray:
     """The partial order x <= y iff x*y = theta of a BCK star table, as a
     boolean matrix (entry (x, y) says x <= y), with theta = 0 below every
-    element."""
-    if t.kind != STAR:
-        raise UsageError("bck_order needs a star table")
-    leq = t.table == 0
-    fault = order_fault(leq)
-    if fault is None and not leq[0].all():
-        fault = "element 0 is not below every element"
-    if fault is not None:
-        raise UsageError(f"table does not induce a partial order: {fault}")
-    return leq
+    element.  Any other table raises the `require_axioms` error."""
+    require_axioms(t, "bck")
+    return t.table == 0
 
 
 def refine_colors(a: np.ndarray, b: np.ndarray, colors=None) -> list[int]:

@@ -4,7 +4,6 @@ up to n = 8 by factoring row 1 out of the enumeration, sampled above."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -360,6 +359,8 @@ def _keyed(up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if workers == 1:
         out = [_census_labellings(chunk) for chunk in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging and queue
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             out = list(pool.map(_census_labellings, chunks))
     return np.concatenate([p for p, _ in out]), np.concatenate([rows for _, rows in out])

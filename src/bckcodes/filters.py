@@ -7,8 +7,10 @@ for Hilbert algebras (Diego, *Sur les algèbres de Hilbert*, 1966): the
 filter generated by a filter D and an element a is {x : a.x in D}, one
 pass over row a.
 
-On a dot table whose transpose is order-induced (`algebra.induced_order`,
-the closed form of `verify_axioms`) the filters are read off the order.
+Every entry point passes its table through the validity gate,
+`algebra.require_axioms`.  On a dot table whose transpose is order-induced,
+the closed form of `verify_axioms`, the gate returns the order, and the
+filters are read off it.
 Lemma: let x <= y iff y.x = 0 be a partial order with 0 least, and let
 x.y = 0 if y <= x, else y.  Then a set is a filter iff it is a nonempty
 down-set.
@@ -35,25 +37,12 @@ import math
 
 import numpy as np
 
-from .algebra import dualize, induced_order, require_axioms
+from .algebra import dualize, require_axioms
 from .errors import UsageError
-from .model import DOT, STAR, ClassificationReport, OpTable
+from .model import STAR, ClassificationReport, OpTable
 
 # filters listed or antichain sets memoised (5-7 s of counting on a shared 2-vCPU VM)
 FILTER_STATE_BUDGET = 1 << 18
-
-
-def _require_hilbert(h: OpTable) -> np.ndarray | None:
-    """Raise a UsageError unless h is a Hilbert dot table.  Returns the
-    order (entry (x, y) says x <= y) when the lemma of the module docstring
-    applies, else None; such a table passes the axioms in closed form, and
-    any other is scanned."""
-    if h.kind != DOT:
-        raise UsageError("filters are defined on dot tables; dualize the star table first")
-    leq = induced_order(h.table.T)
-    if leq is None:
-        require_axioms(h, "hilbert")
-    return leq
 
 
 def _over_budget(work: str, n: int, result: str) -> UsageError:
@@ -117,7 +106,7 @@ def _check_members(h: OpTable, s) -> frozenset[int]:
 def is_filter(h: OpTable, s) -> tuple[bool, tuple[int, int] | None]:
     """Whether s contains theta and is deductively closed; on failure the
     witness is the first violating pair in index order."""
-    grow = _growth(h, _require_hilbert(h))
+    grow = _growth(h, require_axioms(h, "hilbert"))
     members = _check_members(h, s)
     if 0 not in members:
         return False, None
@@ -132,7 +121,7 @@ def is_filter(h: OpTable, s) -> tuple[bool, tuple[int, int] | None]:
 def generated_filter(h: OpTable, seed) -> frozenset[int]:
     """Least filter containing the seed: {theta} grown by one seed element
     at a time."""
-    grow = _growth(h, _require_hilbert(h))
+    grow = _growth(h, require_axioms(h, "hilbert"))
     mask = 1
     for a in sorted(_check_members(h, seed)):
         mask = grow(a, mask)
@@ -257,14 +246,14 @@ def all_filters(h: OpTable) -> list[frozenset[int]]:
 
     Output order: cardinality, then bitmask value.
     """
-    grow = _growth(h, _require_hilbert(h))
+    grow = _growth(h, require_axioms(h, "hilbert"))
     return [_mask_to_set(m, h.n) for m in _enumerate_masks(h.n, grow)[0]]
 
 
 def maximal_filters(h: OpTable) -> list[frozenset[int]]:
     """Proper filters maximal under inclusion among proper filters; empty
     for the one-element algebra.  Read off the order on an induced table."""
-    leq = _require_hilbert(h)
+    leq = require_axioms(h, "hilbert")
     if leq is not None:
         masks = _order_maximal(leq)
     else:
@@ -282,7 +271,7 @@ def classify(h: OpTable) -> ClassificationReport:
     """
     if h.kind == STAR:
         h = dualize(h)
-    leq = _require_hilbert(h)
+    leq = require_axioms(h, "hilbert")
     if leq is not None:
         maximal = _order_maximal(leq)
         count = _antichain_count(_row_masks(leq | leq.T), (1 << h.n) - 2)

@@ -47,24 +47,15 @@ def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def order_fault(leq: np.ndarray) -> str | None:
-    """Why the square boolean relation `leq` is not a partial order, or None.
-
-    Reflexivity is tested first, then antisymmetry, then transitivity; a
-    named pair is the first offending one in row-major order.
-    """
-    if not leq.diagonal().all():
-        return "relation is not reflexive"
-    both = leq & leq.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        i, j = np.unravel_index(int(both.argmax()), both.shape)
-        return f"relation is not antisymmetric: {i} <= {j} and {j} <= {i}"
-    beyond = bool_product(leq, leq) & ~leq
-    if beyond.any():
-        i, j = np.unravel_index(int(beyond.argmax()), beyond.shape)
-        return f"relation is not transitive at ({i}, {j})"
-    return None
+def is_order(leq: np.ndarray) -> bool:
+    """Whether the square boolean relation `leq` is a partial order:
+    reflexive, with its diagonal the only cells that `leq & leq.T` holds
+    (antisymmetric), and equal to its own square (transitive)."""
+    return bool(
+        leq.diagonal().all()
+        and np.count_nonzero(leq & leq.T) == len(leq)
+        and np.array_equal(bool_product(leq, leq), leq)
+    )
 
 
 def hasse_covers(leq: np.ndarray) -> list[tuple[int, int]]:

@@ -29,6 +29,7 @@ from bckcodes import (
     verify_axioms,
 )
 from bckcodes import _kernels as K
+from bckcodes.algebra import require_axioms
 from bckcodes.cli import run_command
 from bckcodes.posets import domination_leq, star_from_order
 
@@ -297,16 +298,19 @@ class TestBckOrder:
         assert json.loads(capsys.readouterr().out)["labels"] == ["θ", "a", "b", "c", "d"]
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "rows, violation",
         [
-            ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], "relation is not antisymmetric: 1 <= 2 and 2 <= 1"),
-            ([[0, 1], [1, 0]], "element 0 is not below every element"),
+            ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], "axiom 4 fails at (1, 2)"),
+            ([[0, 1], [1, 0]], "axiom 5 fails at (1,)"),
+            # x*y = 0 is an order with 0 least, yet the table is no BCK-algebra
+            ([[0, 0, 0], [2, 0, 2], [1, 1, 0]], "axiom 1 fails at (1, 0, 1)"),
         ],
+        ids=["not-antisymmetric", "theta-not-least", "order-but-not-bck"],
     )
-    def test_non_order_rejected(self, rows, message):
+    def test_non_bck_rejected(self, rows, violation):
         with pytest.raises(UsageError) as err:
             bck_order(star_table(rows))
-        assert str(err.value) == f"table does not induce a partial order: {message}"
+        assert str(err.value) == f"table is not a BCK-algebra ({violation})"
 
 
 class TestAreIsomorphic:
@@ -576,6 +580,68 @@ class TestClosedFormAgainstScans:
     def test_seeded_tables_up_to_8(self):
         verdicts = [self.agrees(t) for t in random_zero_or_x_tables(600, seed=53)]
         assert 100 < sum(verdicts) < 500
+
+    def test_gate_against_the_oracles(self):
+        """`require_axioms` returns `table == 0` of the star form exactly on
+        the order-induced tables, None on the valid tables outside the
+        closed form, and otherwise raises with the first violation of
+        `verify_axioms`, whose BCK verdicts are the loop oracle's."""
+        rng = np.random.default_rng(73)
+        x = np.arange(6)
+        stars = [star_from_order(with_bottom(leq)) for k in range(1, 5) for leq in posets_up_to_iso(k)]
+        stars += [np.maximum(x[:n, None] - x[None, :n], 0) for n in range(1, 7)]
+        stars += [dualize(heyting_table(leq)).table for k in range(1, 4) for leq in posets_up_to_iso(k)]
+        for t in [t for t in stars if len(t) > 1]:
+            for _ in range(3):  # one cell changed each
+                corrupt = t.copy()
+                i, j = rng.integers(len(t), size=2)
+                corrupt[i, j] = (t[i, j] + rng.integers(1, len(t))) % len(t)
+                stars.append(corrupt)
+        seen = Counter()
+        for t in stars:
+            induced = brute_induced(t.tolist())
+            star = star_table(t)
+            assert sorted(verify_axioms(star, "bck")) == brute_bck_violations(t), t
+            gates = ((star, "bck", "a BCK-algebra"), (dualize(star), "hilbert", "a Hilbert algebra"))
+            for table, kind, name in gates:
+                violations = verify_axioms(table, kind)
+                if violations:
+                    assert not induced, t
+                    axiom, witness = violations[0]
+                    with pytest.raises(UsageError) as err:
+                        require_axioms(table, kind)
+                    assert str(err.value) == f"table is not {name} (axiom {axiom} fails at {witness})"
+                    seen[kind, "raised"] += 1
+                elif induced:
+                    assert np.array_equal(require_axioms(table, kind), t == 0), t
+                    seen[kind, "induced"] += 1
+                else:
+                    assert require_axioms(table, kind) is None, t
+                    seen[kind, "scanned"] += 1
+        assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+
+def with_bottom(leq: np.ndarray) -> np.ndarray:
+    """The order `leq` with a new least element 0 below it."""
+    n = len(leq) + 1
+    out = np.ones((n, n), dtype=bool)
+    out[1:, 0] = False
+    out[1:, 1:] = leq
+    return out
+
+
+def brute_induced(t) -> bool:
+    """Oracle in plain loops: every cell x*y is 0 or x (so row 0 is all 0
+    and 0 is least), and x <= y iff x*y = 0 is a partial order."""
+    n = len(t)
+    le = [[t[i][j] == 0 for j in range(n)] for i in range(n)]
+    triples = itertools.product(range(n), repeat=3)
+    return (
+        all(t[i][j] in (0, i) for i in range(n) for j in range(n))
+        and all(le[i][i] for i in range(n))
+        and not any(i != j and le[i][j] and le[j][i] for i in range(n) for j in range(n))
+        and all(le[i][k] or not (le[i][j] and le[j][k]) for i, j, k in triples)
+    )
 
 
 def counting_scans(monkeypatch) -> Counter:

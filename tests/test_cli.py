@@ -542,49 +542,60 @@ import contextlib, io, json, sys
 import numpy
 before = set(sys.modules)
 from bckcodes.cli import run_command
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [run_command(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+codes, loaded = [], []
+for group in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes += [run_command(argv) for argv in group]
+    loaded.append(sorted(set(sys.modules) - before))
+print(json.dumps([codes, loaded]))
 """
 
 
 class TestModuleGuard:
-    """No command loads numpy.random, numpy.ma or a process pool.  Measured
+    """No command loads numpy.random, numpy.ma or a process pool, and none
+    but a census keyed on threads loads concurrent.futures.  Measured
     against what `import numpy` alone loads, which includes numpy.random
     and numpy.ma before numpy 2."""
 
+    ONE_CHUNK = [
+        ["census", "--n", "9", "--sample", "10", "--seed", "1", "--json"],
+        ["census", "--n", "6", "--json"],
+        ["build", "--mode", "embed", fx("embed9.code")],
+        ["classify", fx("local5_dot.alg")],
+        ["iso", fx("local5_star.alg"), fx("local5_star.alg")],
+        ["verify", "--kind", "bck", fx("semisimple4_star.alg")],
+        ["props", fx("local5_star.alg")],
+        ["filters", "--maximal", fx("embed9_dot.alg")],
+        ["roundtrip", fx("embed9.code")],
+        ["hasse", fx("local5.code")],
+    ]
+    TWO_CHUNKS = [["census", "--n", "12", "--sample", "5000", "--seed", "2", "--json"]]
+
     @pytest.fixture(scope="class")
     def loaded(self):
-        argvs = [
-            ["census", "--n", "9", "--sample", "10", "--seed", "1", "--json"],
-            ["census", "--n", "6", "--json"],
-            ["census", "--n", "12", "--sample", "5000", "--seed", "2", "--json"],  # two chunks
-            ["build", "--mode", "embed", fx("embed9.code")],
-            ["classify", fx("local5_dot.alg")],
-            ["iso", fx("local5_star.alg"), fx("local5_star.alg")],
-            ["verify", "--kind", "bck", fx("semisimple4_star.alg")],
-            ["props", fx("local5_star.alg")],
-            ["filters", "--maximal", fx("embed9_dot.alg")],
-            ["roundtrip", fx("embed9.code")],
-            ["hasse", fx("local5.code")],
-        ]
+        """The modules loaded after the one-chunk commands, then after the
+        two-chunk census as well, in one child interpreter."""
+        groups = [self.ONE_CHUNK, self.TWO_CHUNKS]
         out = subprocess.run(
-            [sys.executable, "-c", GUARD_SCRIPT, json.dumps(argvs)],
+            [sys.executable, "-c", GUARD_SCRIPT, json.dumps(groups)],
             capture_output=True,
             text=True,
             env=CHILD_ENV,
         )
         assert out.returncode == 0, out.stderr
         codes, loaded = json.loads(out.stdout)
-        assert codes == [0] * len(argvs)
+        assert codes == [0] * sum(map(len, groups))
         return loaded
 
     def test_commands_load_neither_numpy_random_nor_numpy_ma(self, loaded):
-        assert [m for m in loaded if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])] == []
+        assert [m for m in loaded[-1] if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])] == []
 
     def test_commands_load_no_process_pool(self, loaded):
         pools = ("multiprocessing", "concurrent.futures.process")
-        assert [m for m in loaded if m.startswith(pools)] == []
+        assert [m for m in loaded[-1] if m.startswith(pools)] == []
+
+    def test_one_chunk_commands_load_no_thread_pool(self, loaded):
+        assert [m for m in loaded[0] if m.startswith("concurrent")] == []
 
 
 def pinned(payload) -> str:
@@ -937,25 +948,21 @@ class TestOneElementAndOrderErrors:
         )
 
     @pytest.mark.parametrize(
-        "text, message",
+        "text, violation",
         [
-            (
-                "kind star\nn 3\ntheta 0\n0 0 0\n1 0 0\n2 0 0\n",
-                "relation is not antisymmetric: 1 <= 2 and 2 <= 1",
-            ),
-            ("kind star\nn 2\ntheta 0\n0 1\n1 0\n", "element 0 is not below every element"),
-            # both faults: the order axioms are reported first
-            (
-                "kind star\nn 3\ntheta 0\n0 1 1\n1 0 0\n2 0 0\n",
-                "relation is not antisymmetric: 1 <= 2 and 2 <= 1",
-            ),
+            ("kind star\nn 3\ntheta 0\n0 0 0\n1 0 0\n2 0 0\n", "axiom 4 fails at (1, 2)"),
+            ("kind star\nn 2\ntheta 0\n0 1\n1 0\n", "axiom 5 fails at (1,)"),
+            # both faults: the first failing axiom is reported
+            ("kind star\nn 3\ntheta 0\n0 1 1\n1 0 0\n2 0 0\n", "axiom 4 fails at (1, 2)"),
+            # x*y = 0 orders {0, 1, 2} with 0 least, yet `verify --kind bck` fails
+            ("kind star\nn 3\ntheta 0\n0 0 0\n2 0 2\n1 1 0\n", "axiom 1 fails at (1, 0, 1)"),
         ],
-        ids=["not-antisymmetric", "theta-not-least", "both"],
+        ids=["not-antisymmetric", "theta-not-least", "both", "order-but-not-bck"],
     )
-    def test_hasse_on_a_non_order(self, capsys, tmp_path, text, message):
+    def test_hasse_on_a_non_order(self, capsys, tmp_path, text, violation):
         code, out, err = run(capsys, "hasse", alg_file(tmp_path, text))
         assert (code, out) == (2, "")
-        assert err == f"error: table does not induce a partial order: {message}\n"
+        assert err == f"error: table is not a BCK-algebra ({violation})\n"
 
     def test_hasse_dualizes_dot_input(self, capsys, tmp_path):
         path = alg_file(tmp_path, "kind dot\nn 2\ntheta 0\n0 1\n0 0\n")

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import functools
 import itertools
 import os
@@ -726,7 +727,7 @@ class TestCensusJobs:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(codegen, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         return started
 
     def test_threads_clamped_to_usable_cpus_and_chunks(self, pools, monkeypatch):

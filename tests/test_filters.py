@@ -28,6 +28,7 @@ from bckcodes import (
     serialize_algebra,
 )
 from bckcodes import filters as F
+from bckcodes.algebra import require_axioms
 from bckcodes.cli import run_command
 
 from conftest import (
@@ -194,7 +195,7 @@ class TestListingBudget:
         table, theta = heyting_downsets(np.eye(5, dtype=bool))
         rows = "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
         heyting = parse_algebra_file(f"kind dot\nn 32\ntheta {theta}\n{rows}")
-        assert F._require_hilbert(chain) is not None and F._require_hilbert(heyting) is None
+        assert require_axioms(chain, "hilbert") is not None and require_axioms(heyting, "hilbert") is None
         monkeypatch.setattr(F, "FILTER_STATE_BUDGET", 16)
         # the filters of a chain are its prefixes
         assert all_filters(chain) == [frozenset(range(k)) for k in range(1, 18)]
@@ -375,7 +376,7 @@ class TestOrderRouteMatchesRowGrowth:
         rng = np.random.default_rng(31)
         tables = 0
         for name, h in _induced_duals():
-            assert F._require_hilbert(h) is not None, name
+            assert require_axioms(h, "hilbert") is not None, name
             row_growth = F._growth(h, None)
             found, maximal = F._enumerate_masks(h.n, row_growth)
             assert masks(all_filters(h)) == found, name
@@ -523,7 +524,7 @@ class TestOrderRouteSkipsRowGrowth:
         monkeypatch.setattr(F, "_grow", counted)
         for k in range(2, 5):
             for h, _, _ in TestHeytingDownsets.algebras(k):
-                if F._require_hilbert(h) is not None:
+                if require_axioms(h, "hilbert") is not None:
                     continue
                 for enumerate_ in (all_filters, maximal_filters, classify):
                     calls.clear()

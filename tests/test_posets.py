@@ -15,7 +15,7 @@ from bckcodes import (
 from bckcodes import codegen
 from bckcodes.embedding import carrier_rows, extend_matrix
 from bckcodes.model import STAR, OpTable, row_strings
-from bckcodes.posets import domination_leq, lex_sort_desc_with_perm, order_fault, star_from_order
+from bckcodes.posets import domination_leq, is_order, lex_sort_desc_with_perm, star_from_order
 
 from conftest import all_words, fixture_text, loop_leq, star_table
 from golden import (
@@ -193,7 +193,7 @@ def all_posets_with_least(n):
         reach = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
         if (reach & ~leq).any():
             continue
-        assert order_fault(leq) is None
+        assert is_order(leq)
         yield leq
 
 
@@ -255,8 +255,8 @@ class TestHasseCovers:
 
 
 def brute_order_fault(leq) -> str | None:
-    """Oracle in plain loops: the first failing order axiom, in the words
-    `bck_order` raises it with."""
+    """Oracle in plain loops: the first failing order axiom, or None for a
+    partial order."""
     n = len(leq)
     if not all(leq[i][i] for i in range(n)):
         return "relation is not reflexive"
@@ -301,27 +301,28 @@ class TestOrderFault:
     def test_seeded_relations_against_loops(self):
         seen = set()
         for leq in random_relations(900, seed=61):
-            fault = order_fault(leq)
-            assert fault == brute_order_fault(leq.tolist()), leq
+            fault = brute_order_fault(leq.tolist())
+            assert is_order(leq) == (fault is None), leq
             seen.add(fault and fault.split()[3].rstrip(":"))
             if len(leq) == 1 and fault is not None:
                 continue
-            # bck_order accepts exactly the orders with 0 least, else names the fault
-            if fault is None and not leq[0].all():
-                fault = "element 0 is not below every element"
-            if fault is None:
-                assert np.array_equal(bck_order(relation_table(leq)), leq)
+            # bck_order accepts exactly the orders with 0 least, else raises
+            # the axiom gate's error with the first violation
+            t = relation_table(leq)
+            if fault is None and leq[0].all():
+                assert np.array_equal(bck_order(t), leq)
             else:
+                axiom, witness = verify_axioms(t, "bck")[0]
                 with pytest.raises(UsageError) as err:
-                    bck_order(relation_table(leq))
-                assert str(err.value) == f"table does not induce a partial order: {fault}"
+                    bck_order(t)
+                assert str(err.value) == f"table is not a BCK-algebra (axiom {axiom} fails at {witness})"
         assert seen == {None, "reflexive", "antisymmetric", "transitive"}
 
     @pytest.mark.parametrize("name", ["embed9.code", "local5.code", "semisimple4.code"])
     def test_fixture_orders(self, name):
         code = parse_code_file(fixture_text(name))
         for rows in (code.matrix, carrier_rows(code)[0], extend_matrix(code)):
-            assert order_fault(domination_leq(rows)) is None
+            assert is_order(domination_leq(rows))
 
 
 class TestHasseCoversOracle:
@@ -337,5 +338,5 @@ class TestHasseCoversOracle:
                 for j in range(n)
                 if i != j and leq[i, j] and not any(k not in (i, j) and leq[i, k] and leq[k, j] for k in range(n))
             ]
-            assert order_fault(leq) is None
+            assert is_order(leq)
             assert hasse_covers(leq) == expected
